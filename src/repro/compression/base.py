@@ -24,7 +24,7 @@ from typing import Any
 
 import numpy as np
 
-from repro.compression.serialization import pack_meta, unpack_meta
+from repro.compression.serialization import pack_meta, unpack_meta, wire_dtype
 
 __all__ = [
     "Compressor",
@@ -32,6 +32,7 @@ __all__ = [
     "frame_payload",
     "frame_parts",
     "parse_payload",
+    "header_dtype",
     "MAGIC",
 ]
 
@@ -97,6 +98,12 @@ def frame_payload(
     byte-identical to the historical ``header + body`` concatenation.
     """
     return b"".join(frame_parts(codec, array_shape, array_dtype, meta, body))
+
+
+def header_dtype(header: dict[str, Any]) -> np.dtype:
+    """The frame's array dtype; :class:`CorruptPayloadError` unless it is
+    ``<f4`` or ``<f8``, exactly the inputs ``_validate`` accepts."""
+    return wire_dtype(header["dtype"], ("<f4", "<f8"))
 
 
 def parse_payload(payload: bytes | memoryview) -> tuple[dict[str, Any], memoryview]:
@@ -192,7 +199,7 @@ class Compressor(ABC):
                 " use repro.compression.registry.decompress_any"
             )
         shape = tuple(int(s) for s in header["shape"])
-        dtype = np.dtype(header["dtype"])
+        dtype = header_dtype(header)
         array = self._decompress_body(header, body, shape, dtype)
         if array.shape != shape:
             raise AssertionError(f"{self.name}: decoded shape {array.shape} != {shape}")

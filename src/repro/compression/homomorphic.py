@@ -46,8 +46,9 @@ from typing import Any
 
 import numpy as np
 
-from repro.compression.base import Compressor, frame_payload, parse_payload
+from repro.compression.base import Compressor, frame_payload, header_dtype, parse_payload
 from repro.compression.quantizer import quantize
+from repro.compression.serialization import wire_dtype
 
 __all__ = [
     "HomomorphicCompressor",
@@ -119,7 +120,7 @@ class HomomorphicCompressor(Compressor):
         )
         meta, body = self._agg_meta_body(header_a, body_a, header_b, body_b, shape)
         meta["terms"] = terms
-        return frame_payload(self.name, shape, np.dtype(header_a["dtype"]), meta, body)
+        return frame_payload(self.name, shape, header_dtype(header_a), meta, body)
 
     def payload_bound(self, payload) -> float:
         """Closed-form reconstruction bound of a (possibly aggregated)
@@ -155,7 +156,7 @@ class HomomorphicCompressor(Compressor):
             f"payload was produced by codec {header['codec']!r}, not {self.name!r}",
         )
         shape = tuple(int(s) for s in header["shape"])
-        dtype = np.dtype(header["dtype"])
+        dtype = header_dtype(header)
         lease, out = pool.checkout_array(shape, dtype)
         out[...] = self._decompress_body(header, body, shape, dtype)
         return lease, out
@@ -174,6 +175,11 @@ class HomomorphicCompressor(Compressor):
 
     def _header_bound(self, header: dict[str, Any]) -> float:
         raise NotImplementedError
+
+
+def _code_dtype(header: dict[str, Any]) -> np.dtype:
+    """A ``quant_sum`` header's code dtype: one :func:`_narrowest_int` emits."""
+    return wire_dtype(header["cdtype"], ("|i1", "<i2", "<i4", "<i8"))
 
 
 def _narrowest_int(codes: np.ndarray) -> np.ndarray:
@@ -228,7 +234,7 @@ class QuantSumCompressor(HomomorphicCompressor):
         dtype: np.dtype,
     ) -> np.ndarray:
         count = int(np.prod(shape, dtype=np.int64))
-        codes = np.frombuffer(body, dtype=np.dtype(header["cdtype"]))
+        codes = np.frombuffer(body, dtype=_code_dtype(header))
         _require(
             codes.size == count,
             f"{self.name}: body holds {codes.size} codes, expected {count}",
@@ -248,8 +254,8 @@ class QuantSumCompressor(HomomorphicCompressor):
             f"agg_sum: composed code magnitude bound {cmax} would risk int64 overflow",
         )
         count = int(np.prod(shape, dtype=np.int64))
-        codes_a = np.frombuffer(body_a, dtype=np.dtype(header_a["cdtype"]))
-        codes_b = np.frombuffer(body_b, dtype=np.dtype(header_b["cdtype"]))
+        codes_a = np.frombuffer(body_a, dtype=_code_dtype(header_a))
+        codes_b = np.frombuffer(body_b, dtype=_code_dtype(header_b))
         _require(
             codes_a.size == count and codes_b.size == count,
             f"agg_sum: {self.name} body size mismatch",

@@ -7,9 +7,9 @@ Three cooperating pieces:
   allocation-free backing store for payloads, checksum envelopes, and
   decode scratch.
 * :class:`CodecExecutor` — compresses/decompresses independent tables and
-  pipeline chunks across a process/thread pool with shared-memory output
-  slots; ``workers=1`` is a deterministic serial path, and payload bytes
-  are identical at every worker count.
+  pipeline chunks on a thread pool, at most ``parallelism`` at a time;
+  ``workers=1`` is a deterministic serial loop, and payload bytes are
+  identical at every worker count.
 * :class:`ExchangeAutotuner` — measures the compress/wire balance of each
   exchange (directly or from the :mod:`repro.obs` stage counters) and picks
   ``pipeline_chunks`` and the codec worker count for the next one.

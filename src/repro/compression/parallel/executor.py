@@ -1,24 +1,19 @@
-"""Multicore codec execution: compress/decompress batches across workers.
+"""Multicore codec execution: compress/decompress batches across threads.
 
 In the paper's 4-stage exchange every rank compresses one slice per peer —
 the slices are independent, so on a multicore host the codec work
 parallelizes perfectly.  :class:`CodecExecutor` runs a batch of
-:class:`CompressJob`s (or payload decodes) across a process or thread pool:
+:class:`CompressJob`s (or payload decodes) on one thread pool:
 
-* ``workers=1`` is a **strictly serial in-process loop** — no pool, no
+* ``workers=1`` is a **strictly serial in-process loop** — no threads, no
   queues — and produces payloads bit-identical to calling each codec's
   ``compress`` directly (differential tests pin this for every registered
   codec).
-* The **process** backend (default where ``fork`` is available) sidesteps
-  the GIL entirely.  Workers inherit a ring of shared-memory output slots
-  (``multiprocessing.RawArray``) through ``fork`` and write compressed
-  payloads into them, so results cross the process boundary as a
-  ``(slot, length)`` tuple instead of a pickled payload; jobs are submitted
-  in waves of ``workers`` so a slot is never overwritten before the parent
-  drains it.  Oversized payloads transparently fall back to pickling.
-* The **thread** backend shares the address space (zero-copy by
-  construction) and relies on NumPy kernels releasing the GIL; each worker
-  thread keeps its own codec instances because codecs carry scratch state.
+* ``workers>1`` runs the batch on a ``ThreadPoolExecutor``.  Threads share
+  the address space (payloads are never copied across a boundary) and the
+  NumPy kernels release the GIL; each thread keeps its own codec instances
+  because codecs carry scratch state.  At most ``min(parallelism, workers)``
+  jobs are in flight at once.
 
 Parallel compression always uses the **stateless** ``compress`` path, never
 keyed/pinned caches: pinned-trial and codebook-cache state make payload
@@ -30,19 +25,15 @@ stateless for every codec and always safe to distribute.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
-from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
 __all__ = ["CodecExecutor", "CompressJob", "available_workers"]
-
-#: default shared-memory slot size: 4 MiB holds any payload from the
-#: paper's largest table shape (4096 x 64 float32 = 1 MiB raw)
-DEFAULT_SLOT_NBYTES = 1 << 22
 
 
 def available_workers() -> int:
@@ -65,122 +56,23 @@ class CompressJob:
     kwargs: tuple[tuple[str, Any], ...] = field(default_factory=tuple)
 
 
-# ---------------------------------------------------------------------------
-# process-backend worker side.  The slot ring is inherited through fork (the
-# initializer runs in the child before any job); module-level state keeps it
-# reachable from the picklable job functions.
-
-_WORKER_STATE: dict[str, Any] = {"slots": None, "codecs": {}}
-
-
-def _process_init(slots: list) -> None:
-    _WORKER_STATE["slots"] = slots
-    _WORKER_STATE["codecs"] = {}
-
-
-def _cached_codec(name: str, kwargs: tuple[tuple[str, Any], ...]):
-    codec = _WORKER_STATE["codecs"].get((name, kwargs))
-    if codec is None:
-        from repro.compression.registry import get_compressor
-
-        codec = get_compressor(name, **dict(kwargs))
-        _WORKER_STATE["codecs"][(name, kwargs)] = codec
-    return codec
-
-
-def _run_compress(slot_index: int | None, job: CompressJob):
-    payload = _cached_codec(job.codec, job.kwargs).compress(job.array, job.error_bound)
-    slots = _WORKER_STATE["slots"]
-    if slots is not None and slot_index is not None and len(payload) <= len(slots[slot_index]):
-        memoryview(slots[slot_index]).cast("B")[: len(payload)] = payload
-        return ("slot", slot_index, len(payload))
-    return ("bytes", payload)
-
-
-def _run_decompress(slot_index: int | None, payload):
-    from repro.compression.registry import decompress_any
-
-    array = np.ascontiguousarray(decompress_any(payload))
-    slots = _WORKER_STATE["slots"]
-    if slots is not None and slot_index is not None and array.nbytes <= len(slots[slot_index]):
-        if array.nbytes:
-            memoryview(slots[slot_index]).cast("B")[: array.nbytes] = memoryview(array).cast("B")
-        return ("slot_array", slot_index, array.dtype.str, array.shape)
-    return ("array", array)
-
-
 class CodecExecutor:
-    """Runs codec batches serially, across threads, or across processes.
+    """Runs codec batches serially (``workers=1``) or across a thread pool.
 
-    Parameters
-    ----------
-    workers:
-        Maximum parallelism.  ``1`` selects the deterministic serial path.
-    backend:
-        ``"auto"`` (process where ``fork`` exists, else thread),
-        ``"serial"``, ``"thread"``, or ``"process"``.
-    pool:
-        Optional :class:`~repro.compression.parallel.BitstreamPool`; when
-        set, compressed payloads are returned as pooled lease views and the
-        leases are tracked on the executor (``release_leases()`` frees the
-        previous batch's buffers).
-    slot_nbytes:
-        Shared-memory output slot size for the process backend.
+    ``workers`` is the maximum parallelism; each batch call may cap it
+    further with ``parallelism`` (the autotuner's worker recommendation).
     """
 
-    def __init__(
-        self,
-        workers: int = 1,
-        *,
-        backend: str = "auto",
-        pool=None,
-        slot_nbytes: int = DEFAULT_SLOT_NBYTES,
-    ) -> None:
+    def __init__(self, workers: int = 1) -> None:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
-        if backend not in ("auto", "serial", "thread", "process"):
-            raise ValueError(f"unknown backend {backend!r}")
         self.workers = int(workers)
-        if workers == 1 or backend == "serial":
-            backend = "serial"
-        elif backend == "auto":
-            backend = "process" if "fork" in multiprocessing.get_all_start_methods() else "thread"
-        self.backend = backend
-        self.pool = pool
-        self.slot_nbytes = int(slot_nbytes)
-        self._executor: ProcessPoolExecutor | ThreadPoolExecutor | None = None
-        self._slots: list | None = None
-        self._serial_codecs: dict[tuple[str, tuple], Any] = {}
-        self._thread_codecs = None  # threading.local, created lazily
-        self._leases: list = []
-
-    # ------------------------------------------------------------- lifecycle
-
-    def _ensure_executor(self):
-        if self._executor is not None:
-            return self._executor
-        if self.backend == "process":
-            ctx = multiprocessing.get_context("fork")
-            # One slot per concurrently-running job: jobs are submitted in
-            # waves of `workers`, each wave position owning one slot, and the
-            # parent drains a wave before submitting the next.
-            self._slots = [ctx.RawArray("B", self.slot_nbytes) for _ in range(self.workers)]
-            self._executor = ProcessPoolExecutor(
-                max_workers=self.workers,
-                mp_context=ctx,
-                initializer=_process_init,
-                initargs=(self._slots,),
-            )
-        else:
-            self._executor = ThreadPoolExecutor(max_workers=self.workers)
-        return self._executor
+        # Threads start on first submit, so workers=1 never spawns one.
+        self._pool = ThreadPoolExecutor(max_workers=self.workers)
+        self._codecs = threading.local()
 
     def close(self) -> None:
-        if self._executor is not None:
-            self._executor.shutdown(wait=True)
-            self._executor = None
-        self._slots = None
-        self.release_leases()
+        self._pool.shutdown(wait=True)
 
     def __enter__(self) -> "CodecExecutor":
         return self
@@ -188,79 +80,43 @@ class CodecExecutor:
     def __exit__(self, *exc) -> None:
         self.close()
 
-    def __del__(self):  # pragma: no cover - GC timing dependent
-        try:
-            if self._executor is not None:
-                self._executor.shutdown(wait=False)
-        except Exception:
-            pass
-
-    def release_leases(self) -> None:
-        """Release pooled payload buffers handed out by the previous batch."""
-        for lease in self._leases:
-            lease.release()
-        self._leases.clear()
-
-    # ----------------------------------------------------------- serial path
-
-    def _serial_codec(self, name: str, kwargs: tuple):
-        codec = self._serial_codecs.get((name, kwargs))
-        if codec is None:
-            from repro.compression.registry import get_compressor
-
-            codec = get_compressor(name, **dict(kwargs))
-            self._serial_codecs[(name, kwargs)] = codec
-        return codec
-
-    def _thread_codec(self, name: str, kwargs: tuple):
-        import threading
-
-        if self._thread_codecs is None:
-            self._thread_codecs = threading.local()
-        cache = getattr(self._thread_codecs, "codecs", None)
+    def _codec(self, name: str, kwargs: tuple):
+        """This thread's codec instance for ``(name, kwargs)``."""
+        cache = getattr(self._codecs, "cache", None)
         if cache is None:
-            cache = {}
-            self._thread_codecs.codecs = cache
+            cache = self._codecs.cache = {}
         codec = cache.get((name, kwargs))
         if codec is None:
             from repro.compression.registry import get_compressor
 
-            codec = get_compressor(name, **dict(kwargs))
-            cache[(name, kwargs)] = codec
+            codec = cache[(name, kwargs)] = get_compressor(name, **dict(kwargs))
         return codec
 
-    # --------------------------------------------------------------- results
+    def _map(self, fn: Callable, items: Sequence, parallelism: int | None) -> list:
+        """``[fn(x) for x in items]`` with at most ``parallelism`` in flight.
 
-    def _intern(self, payload):
-        """Stash a payload: pooled lease view when a pool is attached."""
-        if self.pool is None:
-            return payload if isinstance(payload, bytes) else bytes(payload)
-        lease = self.pool.checkout_bytes(payload)
-        self._leases.append(lease)
-        return lease.view
+        Each of the ``lanes`` pool tasks runs a serial loop over every
+        ``lanes``-th item, so the cap holds whatever the pool size.
+        """
+        lanes = self.workers if parallelism is None else max(1, min(parallelism, self.workers))
+        lanes = min(lanes, len(items))
+        if lanes <= 1:
+            return [fn(item) for item in items]
+        results: list = [None] * len(items)
 
-    def _materialize_compress(self, outcome):
-        kind = outcome[0]
-        if kind == "bytes":
-            return self._intern(outcome[1])
-        _, slot_index, length = outcome
-        return self._intern(memoryview(self._slots[slot_index]).cast("B")[:length])
+        def lane(start: int) -> None:
+            for index in range(start, len(items), lanes):
+                results[index] = fn(items[index])
 
-    def _materialize_decompress(self, outcome):
-        kind = outcome[0]
-        if kind == "array":
-            return outcome[1]
-        _, slot_index, dtype_str, shape = outcome
-        dtype = np.dtype(dtype_str)
-        count = int(np.prod(shape, dtype=np.int64))
-        view = memoryview(self._slots[slot_index]).cast("B")[: count * dtype.itemsize]
-        return np.frombuffer(view, dtype=dtype).reshape(shape).copy()
-
-    # ------------------------------------------------------------------- api
+        futures = [self._pool.submit(lane, start) for start in range(lanes)]
+        wait(futures)  # no lane outlives the call, even when one raises
+        for future in futures:
+            future.result()
+        return results
 
     def compress_batch(
         self, jobs: Sequence[CompressJob], *, parallelism: int | None = None
-    ) -> list:
+    ) -> list[bytes]:
         """Compress independent jobs; results keep the input order.
 
         ``parallelism`` caps the worker count for this batch (an autotuner
@@ -268,36 +124,11 @@ class CodecExecutor:
         payload bytes are identical for every value of ``parallelism`` —
         only wall-clock changes.
         """
-        effective = self.workers if parallelism is None else max(1, min(parallelism, self.workers))
-        if self.backend == "serial" or effective == 1 or len(jobs) <= 1:
-            return [
-                self._intern(
-                    self._serial_codec(job.codec, job.kwargs).compress(job.array, job.error_bound)
-                )
-                for job in jobs
-            ]
-        executor = self._ensure_executor()
-        results: list = [None] * len(jobs)
-        if self.backend == "thread":
-            futures = {
-                executor.submit(
-                    lambda j: self._thread_codec(j.codec, j.kwargs).compress(j.array, j.error_bound),
-                    job,
-                ): idx
-                for idx, job in enumerate(jobs)
-            }
-            for future, idx in futures.items():
-                results[idx] = self._intern(future.result())
-            return results
-        # process backend: wave submission, one slot per wave position
-        for wave_start in range(0, len(jobs), effective):
-            wave = jobs[wave_start : wave_start + effective]
-            futures_list: list[Future] = [
-                executor.submit(_run_compress, slot, job) for slot, job in enumerate(wave)
-            ]
-            for offset, future in enumerate(futures_list):
-                results[wave_start + offset] = self._materialize_compress(future.result())
-        return results
+        return self._map(
+            lambda job: self._codec(job.codec, job.kwargs).compress(job.array, job.error_bound),
+            jobs,
+            parallelism,
+        )
 
     def decompress_batch(
         self, payloads: Sequence, *, parallelism: int | None = None
@@ -305,62 +136,7 @@ class CodecExecutor:
         """Decode payloads (any registered codec); results keep input order."""
         from repro.compression.registry import decompress_any
 
-        effective = self.workers if parallelism is None else max(1, min(parallelism, self.workers))
-        if self.backend == "serial" or effective == 1 or len(payloads) <= 1:
-            return [decompress_any(p) for p in payloads]
-        executor = self._ensure_executor()
-        results: list = [None] * len(payloads)
-        if self.backend == "thread":
-            futures = {
-                executor.submit(decompress_any, payload): idx
-                for idx, payload in enumerate(payloads)
-            }
-            for future, idx in futures.items():
-                results[idx] = future.result()
-            return results
-        for wave_start in range(0, len(payloads), effective):
-            wave = payloads[wave_start : wave_start + effective]
-            futures_list = [
-                # memoryviews (pooled payloads) do not pickle; ship bytes
-                executor.submit(_run_decompress, slot, bytes(payload) if isinstance(payload, (memoryview, bytearray)) else payload)
-                for slot, payload in enumerate(wave)
-            ]
-            for offset, future in enumerate(futures_list):
-                results[wave_start + offset] = self._materialize_decompress(future.result())
-        return results
-
-    # -------------------------------------------------------- chunked tables
-
-    def compress_chunked(
-        self,
-        codec: str,
-        array: np.ndarray,
-        error_bound: float | None = None,
-        *,
-        chunks: int,
-        kwargs: tuple[tuple[str, Any], ...] = (),
-        parallelism: int | None = None,
-    ) -> list:
-        """Compress one table as ``chunks`` independent row groups.
-
-        Mirrors the pipelined exchange's chunking: each chunk is a framed,
-        self-describing payload, so a receiver decodes chunks independently
-        (and in parallel).  Chunk boundaries follow ``np.array_split``.
-        """
-        if chunks < 1:
-            raise ValueError(f"chunks must be >= 1, got {chunks}")
-        pieces = [p for p in np.array_split(array, min(chunks, max(1, array.shape[0])), axis=0) if p.shape[0]]
-        if not pieces:
-            pieces = [array]
-        jobs = [CompressJob(codec, piece, error_bound, kwargs) for piece in pieces]
-        return self.compress_batch(jobs, parallelism=parallelism)
-
-    def decompress_chunked(
-        self, payloads: Sequence, *, parallelism: int | None = None
-    ) -> np.ndarray:
-        """Decode row-group payloads and reassemble the table."""
-        parts = self.decompress_batch(payloads, parallelism=parallelism)
-        return np.concatenate(parts, axis=0) if len(parts) > 1 else parts[0]
+        return self._map(decompress_any, payloads, parallelism)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"<CodecExecutor workers={self.workers} backend={self.backend!r}>"
+        return f"<CodecExecutor workers={self.workers}>"

@@ -20,9 +20,9 @@ Discipline:
   releasing and re-checking-out the same size hits the free list, never the
   allocator (``stats.reuses`` counts it).
 
-The pool is thread-safe (a single lock around the free lists) so the
-thread backend of :class:`~repro.compression.parallel.CodecExecutor` can
-share one pool across workers.
+Its users are the delta publisher, the shard server's block storage and
+the homomorphic all-reduce.  The pool is thread-safe (a single lock around
+the free lists), so one pool may be shared across threads.
 """
 
 from __future__ import annotations

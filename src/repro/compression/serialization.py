@@ -15,6 +15,10 @@ tag         value encoding
 ``A``       ndarray: dtype string, ndim, shape, raw bytes
 ==========  =============================================
 
+An ``A`` value's dtype must be one of :data:`WIRE_DTYPES` (little-endian
+bool, signed or unsigned integer, float); any other dtype string is
+rejected with :class:`CorruptPayloadError` before NumPy ever parses it.
+
 Keys are packed as varint-length-prefixed UTF-8.  The format is sequential
 and order-preserving; no alignment padding.
 
@@ -32,6 +36,7 @@ from __future__ import annotations
 
 import struct
 import zlib
+from collections.abc import Container
 from typing import Any
 
 import numpy as np
@@ -42,6 +47,8 @@ __all__ = [
     "write_varint",
     "read_varint",
     "CorruptPayloadError",
+    "WIRE_DTYPES",
+    "wire_dtype",
     "CHECKSUM_MAGIC",
     "frame_with_checksum",
     "has_checksum",
@@ -55,13 +62,34 @@ CHECKSUM_MAGIC = 0xC5
 
 
 class CorruptPayloadError(ValueError):
-    """A checksummed payload failed CRC32 verification.
+    """A payload failed verification: a CRC32 mismatch, or a header that
+    declares a dtype no codec emits.
 
-    Raised only for frames that *declare* a checksum — an unframed payload
-    is never rejected here (integrity is opt-in), and a truncated or
-    bit-flipped envelope reports the stored vs computed digest so fault
-    logs say exactly what went wrong on the wire.
+    The CRC32 check applies only to frames that *declare* a checksum — an
+    unframed payload is never rejected for lacking one (integrity is
+    opt-in), and a truncated or bit-flipped envelope reports the stored vs
+    computed digest so fault logs say exactly what went wrong on the wire.
     """
+
+
+#: every dtype string the wire format may carry: little-endian numeric
+#: kinds only, keyed by ``dtype.str`` (so ``int8`` is ``"|i1"``)
+WIRE_DTYPES = {
+    dtype.str: dtype
+    for dtype in map(np.dtype, ("<b1", "<i1", "<i2", "<i4", "<i8", "<u1", "<u2", "<u4", "<u8", "<f2", "<f4", "<f8"))
+}
+
+
+def wire_dtype(name: Any, allowed: Container[str] = WIRE_DTYPES) -> np.dtype:
+    """The dtype a payload declares as ``name``.
+
+    The string is untrusted input, so it is looked up, never parsed:
+    :class:`CorruptPayloadError` unless it is in :data:`WIRE_DTYPES` and
+    in ``allowed``.
+    """
+    if not isinstance(name, str) or name not in allowed or name not in WIRE_DTYPES:
+        raise CorruptPayloadError(f"payload declares dtype {name!r}, which no codec emits")
+    return WIRE_DTYPES[name]
 
 
 def _reference_frame_with_checksum(payload: bytes | bytearray | memoryview) -> bytes:
@@ -246,7 +274,8 @@ def _unpack_value(data: memoryview, pos: int) -> tuple[Any, int]:
         return bytes(data[pos : pos + length]), pos + length
     if tag == "A":
         dlen, pos = read_varint(data, pos)
-        dtype = np.dtype(bytes(data[pos : pos + dlen]).decode("ascii"))
+        # latin-1 maps every byte, so a non-ASCII string fails the lookup
+        dtype = wire_dtype(bytes(data[pos : pos + dlen]).decode("latin-1"))
         pos += dlen
         ndim, pos = read_varint(data, pos)
         shape = []

@@ -88,7 +88,8 @@ class CompressionPipeline:
     metadata_bytes_per_entry: int = 16
     codebook_refresh: int = 8
     #: optional :class:`~repro.compression.parallel.CodecExecutor`: batch
-    #: stage-①/④ calls run across its workers (payload bytes independent of
+    #: stage-①/④ calls run on its worker threads, capped per batch by the
+    #: autotuner's worker recommendation (payload bytes independent of
     #: worker count).  ``None`` keeps the seed's serial keyed path.
     executor: object | None = None
     #: optional :class:`~repro.compression.parallel.ExchangeAutotuner`

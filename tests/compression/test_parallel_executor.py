@@ -1,18 +1,22 @@
-"""Differential tests: CodecExecutor parallel payloads vs the serial path.
+"""Differential tests: CodecExecutor thread-pool payloads vs the serial loop.
 
 The executor's determinism contract is that payload *bytes* are identical
-at every worker count and on every backend — serial, thread, and process —
-for every registered codec.  These tests pin that contract, plus the
-pooled-buffer path, chunked table compression, and decode equivalence.
+at every worker count — the ``workers=1`` serial loop and the thread pool —
+for every registered codec.  These tests pin that contract, decode
+equivalence, and the per-batch ``parallelism`` cap on in-flight work.
 """
 
 from __future__ import annotations
 
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 
+from repro.compression.baselines import Fp16Compressor
 from repro.compression.parallel import (
-    BitstreamPool,
     CodecExecutor,
     CompressJob,
     available_workers,
@@ -39,24 +43,29 @@ def tables():
 
 @pytest.fixture(scope="module")
 def executors():
-    """One executor per backend, shared across the module (the process
-    pool's fork cost is paid once)."""
-    with CodecExecutor(1) as serial, CodecExecutor(
-        3, backend="thread"
-    ) as thread, CodecExecutor(2, backend="process") as process:
-        yield {"serial": serial, "thread": thread, "process": process}
+    """The serial loop and a thread pool, shared across the module."""
+    with CodecExecutor(1) as serial, CodecExecutor(3) as thread:
+        yield {"serial": serial, "thread": thread}
 
 
 class TestConstruction:
-    def test_workers_one_is_serial(self):
-        assert CodecExecutor(1).backend == "serial"
-        assert CodecExecutor(1, backend="process").backend == "serial"
+    def test_workers_one_is_serial(self, monkeypatch, tables):
+        """``workers=1`` runs every codec call on the calling thread."""
+        callers = []
+        compress = Fp16Compressor.compress
+
+        def recording(codec, *args, **kwargs):
+            callers.append(threading.get_ident())
+            return compress(codec, *args, **kwargs)
+
+        monkeypatch.setattr(Fp16Compressor, "compress", recording)
+        with CodecExecutor(1) as serial:
+            serial.compress_batch([CompressJob("fp16", t) for t in tables])
+        assert callers == [threading.get_ident()] * len(tables)
 
     def test_invalid_args_rejected(self):
         with pytest.raises(ValueError, match="workers"):
             CodecExecutor(0)
-        with pytest.raises(ValueError, match="backend"):
-            CodecExecutor(2, backend="gpu")
 
     def test_available_workers_positive(self):
         assert available_workers() >= 1
@@ -65,16 +74,16 @@ class TestConstruction:
 class TestDifferential:
     @pytest.mark.parametrize("codec", sorted(available_compressors()))
     def test_parallel_bytes_identical_to_serial(self, codec, tables, executors):
-        """Every backend, same payload bytes — for every registered codec."""
+        """Serial loop and thread pool, same payload bytes — for every
+        registered codec."""
         jobs = [CompressJob(codec, t, BOUND) for t in tables]
         expected = [bytes(p) for p in executors["serial"].compress_batch(jobs)]
         direct = get_compressor(codec)
         assert expected == [bytes(direct.compress(t, BOUND)) for t in tables]
-        for backend in ("thread", "process"):
-            got = [bytes(p) for p in executors[backend].compress_batch(jobs)]
-            assert got == expected, f"{codec} payloads diverged on {backend}"
+        got = [bytes(p) for p in executors["thread"].compress_batch(jobs)]
+        assert got == expected, f"{codec} payloads diverged on the thread pool"
 
-    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("backend", ["serial", "thread"])
     def test_decompress_matches_serial(self, backend, tables, executors):
         payloads = executors["serial"].compress_batch(
             [CompressJob("hybrid", t, BOUND) for t in tables]
@@ -93,6 +102,24 @@ class TestDifferential:
             got = [bytes(p) for p in executors["thread"].compress_batch(jobs, parallelism=cap)]
             assert got == expected
 
+    def test_oversubscribed_pool_under_fast_switching(self, tables):
+        """More threads than cores and a tiny switch interval: no result
+        slot is lost or swapped, and no codec scratch state leaks between
+        threads."""
+        jobs = [CompressJob(codec, t, BOUND) for codec in ("vector_lz", "entropy") for t in tables] * 4
+        expected = [bytes(p) for p in CodecExecutor(1).compress_batch(jobs)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with CodecExecutor(8) as executor:
+                got = [bytes(p) for p in executor.compress_batch(jobs)]
+                decoded = executor.decompress_batch(got)
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == expected
+        for array, payload in zip(decoded, expected):
+            np.testing.assert_array_equal(array, decompress_any(payload))
+
     def test_job_kwargs_reach_the_codec(self, tables, executors):
         table = tables[3]
         jobs = [CompressJob("vector_lz", table, BOUND, (("window", 4),))]
@@ -100,74 +127,15 @@ class TestDifferential:
         assert bytes(payload) == bytes(get_compressor("vector_lz", window=4).compress(table, BOUND))
 
     def test_empty_batch(self, executors):
-        for backend in ("serial", "thread", "process"):
+        for backend in ("serial", "thread"):
             assert executors[backend].compress_batch([]) == []
             assert executors[backend].decompress_batch([]) == []
 
 
-class TestPooledExecutor:
-    def test_pooled_payloads_identical_and_arenas_reused(self, tables):
-        pool = BitstreamPool()
-        jobs = [CompressJob("hybrid", t, BOUND) for t in tables]
-        expected = [bytes(p) for p in CodecExecutor(1).compress_batch(jobs)]
-        with CodecExecutor(1, pool=pool) as pooled:
-            first = [bytes(p) for p in pooled.compress_batch(jobs)]
-            assert first == expected
-            pooled.release_leases()
-            created = pool.stats.arenas_created
-            second = [bytes(p) for p in pooled.compress_batch(jobs)]
-            assert second == expected
-            assert pool.stats.arenas_created == created  # recycled, not allocated
-            assert pool.stats.reuses >= len(jobs)
-            pooled.release_leases()
-        assert pool.stats.live == 0
-
-    def test_pooled_payloads_decode(self, tables):
-        pool = BitstreamPool()
-        with CodecExecutor(1, pool=pool) as pooled:
-            payloads = pooled.compress_batch([CompressJob("fp16", t) for t in tables])
-            for payload, table in zip(payloads, tables):
-                assert isinstance(payload, memoryview)
-                np.testing.assert_allclose(decompress_any(payload), table, atol=2e-2, rtol=1e-2)
-            pooled.release_leases()
-
-
-class TestChunked:
-    @pytest.mark.parametrize("chunks", [1, 3, 8, 200])
-    def test_chunked_roundtrip(self, chunks, tables, executors):
-        table = tables[3]
-        payloads = executors["serial"].compress_chunked("hybrid", table, BOUND, chunks=chunks)
-        assert len(payloads) == min(chunks, table.shape[0])
-        out = executors["serial"].decompress_chunked(payloads)
-        assert out.shape == table.shape
-        assert np.max(np.abs(out - table)) <= BOUND * 1.0001
-
-    def test_chunked_bytes_identical_across_backends(self, tables, executors):
-        table = tables[0]
-        expected = [
-            bytes(p)
-            for p in executors["serial"].compress_chunked("vector_lz", table, BOUND, chunks=4)
-        ]
-        for backend in ("thread", "process"):
-            got = [
-                bytes(p)
-                for p in executors[backend].compress_chunked("vector_lz", table, BOUND, chunks=4)
-            ]
-            assert got == expected
-            np.testing.assert_array_equal(
-                executors[backend].decompress_chunked(got),
-                executors["serial"].decompress_chunked(expected),
-            )
-
-    def test_invalid_chunks_rejected(self, executors):
-        with pytest.raises(ValueError, match="chunks"):
-            executors["serial"].compress_chunked("fp16", np.zeros((4, 4), np.float32), chunks=0)
-
-
 class TestHomomorphicCrossBackend:
     """The homomorphic codecs ride the same determinism contract — and
-    their *aggregated* payloads must also be byte-identical no matter
-    which backend produced the leaves."""
+    their *aggregated* payloads must also be byte-identical whether the
+    serial loop or the thread pool produced the leaves."""
 
     @pytest.mark.parametrize("codec", ["count_sum", "quant_sum"])
     def test_aggregated_bytes_identical_across_backends(self, tables, executors, codec):
@@ -180,10 +148,9 @@ class TestHomomorphicCrossBackend:
         jobs = [CompressJob(codec, leaf, bound) for leaf in leaves]
         expected_leaves = [bytes(p) for p in executors["serial"].compress_batch(jobs)]
         expected_agg = agg_fold(expected_leaves)
-        for backend in ("thread", "process"):
-            payloads = [bytes(p) for p in executors[backend].compress_batch(jobs)]
-            assert payloads == expected_leaves, f"{codec} leaves diverged on {backend}"
-            assert agg_fold(payloads) == expected_agg
+        payloads = [bytes(p) for p in executors["thread"].compress_batch(jobs)]
+        assert payloads == expected_leaves, f"{codec} leaves diverged on the thread pool"
+        assert agg_fold(payloads) == expected_agg
         decoded = decompress_any(expected_agg)
         exact = np.sum([leaf.astype(np.float64) for leaf in leaves], axis=0)
         # count_sum decodes to float32, so allow one float32 ulp around the
@@ -202,19 +169,53 @@ class TestHomomorphicCrossBackend:
             )
         )
         expected = decompress_any(payload)
-        for backend in ("serial", "thread", "process"):
+        for backend in ("serial", "thread"):
             (got,) = executors[backend].decompress_batch([payload])
             np.testing.assert_array_equal(got, expected)
 
 
-class TestProcessSlotOverflow:
-    def test_payload_larger_than_slot_falls_back_to_pickle(self, tables):
-        """A slot smaller than any payload forces the bytes fallback —
-        results must still be byte-identical."""
-        jobs = [CompressJob("fp16", t) for t in tables]
-        expected = [bytes(p) for p in CodecExecutor(1).compress_batch(jobs)]
-        with CodecExecutor(2, backend="process", slot_nbytes=16) as tiny:
-            assert [bytes(p) for p in tiny.compress_batch(jobs)] == expected
-            decoded = tiny.decompress_batch(expected)
-        for d, t in zip(decoded, tables):
-            np.testing.assert_allclose(d, t, atol=2e-2, rtol=1e-2)
+class _ConcurrencyProbe:
+    """Counts how many wrapped calls run at once; each call sleeps so
+    overlapping calls really overlap."""
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._running = 0
+        self.peak = 0
+
+    def wrap(self, fn):
+        def probed(*args, **kwargs):
+            with self._lock:
+                self._running += 1
+                self.peak = max(self.peak, self._running)
+            try:
+                time.sleep(0.02)
+                return fn(*args, **kwargs)
+            finally:
+                with self._lock:
+                    self._running -= 1
+
+        return probed
+
+
+class TestParallelismCap:
+    """The autotuner's per-batch worker recommendation bounds in-flight
+    codec calls to ``min(parallelism, workers)``."""
+
+    @pytest.mark.parametrize("cap", [1, 2, 3, 6])
+    def test_compress_batch_honours_cap(self, monkeypatch, tables, cap):
+        probe = _ConcurrencyProbe()
+        monkeypatch.setattr(Fp16Compressor, "compress", probe.wrap(Fp16Compressor.compress))
+        jobs = [CompressJob("fp16", t) for t in tables * 3]
+        with CodecExecutor(4) as executor:
+            executor.compress_batch(jobs, parallelism=cap)
+        assert 1 <= probe.peak <= min(cap, 4)
+
+    @pytest.mark.parametrize("cap", [1, 2, 3, 6])
+    def test_decompress_batch_honours_cap(self, monkeypatch, tables, cap):
+        payloads = [Fp16Compressor().compress(t) for t in tables * 3]
+        probe = _ConcurrencyProbe()
+        monkeypatch.setattr(Fp16Compressor, "decompress", probe.wrap(Fp16Compressor.decompress))
+        with CodecExecutor(4) as executor:
+            executor.decompress_batch(payloads, parallelism=cap)
+        assert 1 <= probe.peak <= min(cap, 4)

@@ -13,7 +13,13 @@ import pytest
 
 from repro.compression import available_compressors, decompress_any, get_compressor
 from repro.compression.base import MAGIC, parse_payload
+from repro.compression.homomorphic import agg_sum
+from repro.compression.serialization import CorruptPayloadError, _pack_value, write_varint
 from tests.conftest import make_hot_batch
+
+#: dtype strings a hostile header might carry: unparseable, structured,
+#: object, empty void and unicode — none is a dtype any codec emits
+UNTRUSTED_DTYPES = ["(", "f4,(", "O", "V0", "<U3"]
 
 
 @pytest.fixture(scope="module")
@@ -86,3 +92,73 @@ class TestCorruptPayloads:
             except Exception:
                 continue
             assert result.shape == batch.shape
+
+
+def _reframe(header, body, *, raw_values=None):
+    """Frame ``header`` + ``body``, splicing pre-encoded values in for the
+    keys in ``raw_values`` (the packer would refuse to emit them)."""
+    raw_values = raw_values or {}
+    out = bytearray([MAGIC])
+    write_varint(out, len(header))
+    for key, value in header.items():
+        write_varint(out, len(key.encode("utf-8")))
+        out += key.encode("utf-8")
+        if key in raw_values:
+            out += raw_values[key]
+        else:
+            _pack_value(out, value)
+    return bytes(out) + bytes(body)
+
+
+def _array_value(dtype_str, array):
+    """An ``A``-tagged meta value declaring ``dtype_str`` over ``array``'s bytes."""
+    out = bytearray(b"A")
+    write_varint(out, len(dtype_str))
+    out += dtype_str.encode("ascii")
+    write_varint(out, array.ndim)
+    for dim in array.shape:
+        write_varint(out, dim)
+    raw = array.tobytes()
+    write_varint(out, len(raw))
+    return bytes(out + raw)
+
+
+class TestUntrustedDtypes:
+    """Header dtype strings are untrusted input: anything but what a codec
+    emits raises the one documented error, never a NumPy parse error and
+    never a decode into an object/void/unicode array."""
+
+    @pytest.mark.parametrize("codec_name", available_compressors())
+    @pytest.mark.parametrize("dtype_str", UNTRUSTED_DTYPES)
+    def test_frame_dtype_rejected(self, payloads, codec_name, dtype_str):
+        codec, payload, _ = payloads[codec_name]
+        header, body = parse_payload(payload)
+        mangled = _reframe({**header, "dtype": dtype_str}, body)
+        with pytest.raises(CorruptPayloadError, match="dtype"):
+            codec.decompress(mangled)
+        with pytest.raises(CorruptPayloadError, match="dtype"):
+            decompress_any(mangled)
+
+    @pytest.mark.parametrize("codec_name", available_compressors())
+    @pytest.mark.parametrize("dtype_str", UNTRUSTED_DTYPES)
+    def test_meta_array_dtype_rejected(self, payloads, codec_name, dtype_str):
+        codec, payload, _ = payloads[codec_name]
+        header, body = parse_payload(payload)
+        shape = _array_value(dtype_str, np.asarray(header["shape"], dtype=np.int64))
+        mangled = _reframe(header, body, raw_values={"shape": shape})
+        with pytest.raises(CorruptPayloadError, match="dtype"):
+            codec.decompress(mangled)
+        with pytest.raises(CorruptPayloadError, match="dtype"):
+            decompress_any(mangled)
+
+    @pytest.mark.parametrize("dtype_str", UNTRUSTED_DTYPES)
+    def test_quant_sum_code_dtype_rejected(self, payloads, dtype_str):
+        """``quant_sum``'s ``cdtype`` names the body's integer codes: decode
+        and compressed-space aggregation both refuse a hostile one."""
+        codec, payload, _ = payloads["quant_sum"]
+        header, body = parse_payload(payload)
+        mangled = _reframe({**header, "cdtype": dtype_str}, body)
+        with pytest.raises(CorruptPayloadError, match="dtype"):
+            codec.decompress(mangled)
+        with pytest.raises(CorruptPayloadError, match="dtype"):
+            agg_sum(payload, mangled)

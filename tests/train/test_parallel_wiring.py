@@ -55,7 +55,7 @@ class TestExecutorWiring:
     def test_worker_count_is_numerics_neutral(self, world):
         """workers=1 vs workers=3: identical losses, identical wire bytes."""
         dataset, config, plan = world
-        with CodecExecutor(1) as serial, CodecExecutor(3, backend="thread") as parallel:
+        with CodecExecutor(1) as serial, CodecExecutor(3) as parallel:
             _, rep1 = _run(dataset, config, plan, executor=serial)
             _, rep3 = _run(dataset, config, plan, executor=parallel)
         np.testing.assert_array_equal(rep1.history.losses, rep3.history.losses)
@@ -73,7 +73,7 @@ class TestExecutorWiring:
 
     def test_executor_still_compresses_the_wire(self, world):
         dataset, config, plan = world
-        with CodecExecutor(2, backend="thread") as executor:
+        with CodecExecutor(2) as executor:
             _, report = _run(dataset, config, plan, executor=executor)
         assert report.forward_wire_bytes < report.forward_raw_bytes
 
@@ -99,7 +99,7 @@ class TestAutotunerWiring:
     def test_autotuner_feeds_pipeline_parallelism(self, world):
         dataset, config, plan = world
         tuner = ExchangeAutotuner(worker_ladder=(1, 2, 4))
-        with CodecExecutor(4, backend="thread") as executor:
+        with CodecExecutor(4) as executor:
             trainer, _ = _run(dataset, config, plan, executor=executor, autotuner=tuner)
         assert trainer.pipeline.autotuner is tuner
         assert trainer.pipeline._tuned_parallelism() in (1, 2, 4)
