@@ -1,23 +1,27 @@
 #!/usr/bin/env python
 """One chaos run of the whole system: train, publish, serve — under faults.
 
-Runs the ``repro.faults`` day-in-the-life scenario twice from identical
-seeds: once healthy, once with an injected :class:`FaultPlan` — a
-straggler rank and a fabric outage during training, a rank failure
-answered by checkpoint restore, corrupted publication payloads (one
-round abandoned, one recovered by retry), and a serving shard crash
-absorbed by retries, circuit breakers, and degraded answers.  The
-robustness invariants are checked inline (the script fails loudly if any
-breaks) and the unified run report is printed.
+Runs the day-in-the-life scenario (``repro.obs.scenario``, re-exported by
+``repro.faults``) twice from identical seeds: once healthy, once with an
+injected :class:`FaultPlan` — a straggler rank and a fabric outage during
+training, a rank failure answered by checkpoint restore, corrupted
+publication payloads (one round abandoned, one recovered by retry), and a
+serving shard crash absorbed by retries, circuit breakers, and degraded
+answers.  The robustness invariants are checked inline (the script fails
+loudly if any breaks) and the unified run report, with critical paths and
+SLO burn rates, is printed.
 
-With ``--out DIR`` it also writes the machine artifacts:
+With ``--out DIR`` it also writes the same artifacts as the healthy run:
 
-* ``metrics.json``     — snapshot (schema ``repro.obs.snapshot/v1``) with
-  the fault/retry/degradation counters
-* ``metrics.prom``     — the same snapshot in Prometheus text format
-* ``chaos_trace.json`` — one chrome trace with train / publish / serve
-  lanes plus FAULT annotation spans marking every injected window
-* ``run_report.txt``   — the report printed below
+* ``metrics.json``   — snapshot (schema ``repro.obs.snapshot/v2``) with
+  the fault/retry/degradation counters and the critical-path and SLO
+  ``reports`` blocks
+* ``metrics.prom``   — the same snapshot in Prometheus text format
+* ``obs_trace.json`` — one chrome trace with train / publish / serve
+  lanes, FAULT annotation spans marking every injected window, and a
+  per-tier critical-path highlight lane
+* ``run_report.txt`` — the report printed below
+* ``critical_path.json`` — per-tier makespan attribution
 
 Run:  python examples/faults_day_in_the_life.py [--out results/chaos]
 """

@@ -24,7 +24,7 @@ from typing import Any
 
 import numpy as np
 
-from repro.compression.serialization import pack_meta, unpack_meta, wire_dtype
+from repro.compression.serialization import CorruptPayloadError, pack_meta, unpack_meta, wire_dtype
 
 __all__ = [
     "Compressor",
@@ -202,7 +202,7 @@ class Compressor(ABC):
         dtype = header_dtype(header)
         array = self._decompress_body(header, body, shape, dtype)
         if array.shape != shape:
-            raise AssertionError(f"{self.name}: decoded shape {array.shape} != {shape}")
+            raise CorruptPayloadError(f"{self.name}: decoded shape {array.shape} != {shape}")
         return array
 
     def compress_keyed(

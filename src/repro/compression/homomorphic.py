@@ -48,7 +48,7 @@ import numpy as np
 
 from repro.compression.base import Compressor, frame_payload, header_dtype, parse_payload
 from repro.compression.quantizer import quantize
-from repro.compression.serialization import wire_dtype
+from repro.compression.serialization import CorruptPayloadError, wire_dtype
 
 __all__ = [
     "HomomorphicCompressor",
@@ -71,9 +71,9 @@ _LIMB_BITS = 32
 _LIMB_MASK = (1 << _LIMB_BITS) - 1
 
 
-def _require(condition: bool, message: str) -> None:
+def _require(condition: bool, message: str, error: type[ValueError] = ValueError) -> None:
     if not condition:
-        raise ValueError(message)
+        raise error(message)
 
 
 class HomomorphicCompressor(Compressor):
@@ -238,6 +238,7 @@ class QuantSumCompressor(HomomorphicCompressor):
         _require(
             codes.size == count,
             f"{self.name}: body holds {codes.size} codes, expected {count}",
+            CorruptPayloadError,
         )
         centres = codes.astype(np.float64) * float(header["scale"])
         return centres.astype(dtype).reshape(shape)
@@ -353,6 +354,7 @@ class CountSumCompressor(HomomorphicCompressor):
         _require(
             limbs.size == wlen * count,
             f"{self.name}: body holds {limbs.size} limbs, expected {wlen * count}",
+            CorruptPayloadError,
         )
         return limbs.reshape(wlen, count)
 

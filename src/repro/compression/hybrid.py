@@ -29,6 +29,7 @@ import numpy as np
 from repro.compression.base import Compressor, parse_payload
 from repro.compression.cache import EncoderPinCache, TableCodebookCache
 from repro.compression.entropy import EntropyCompressor
+from repro.compression.serialization import CorruptPayloadError
 from repro.compression.vector_lz import DEFAULT_WINDOW, VectorLZCompressor
 from repro.obs.runtime import OBS
 
@@ -195,7 +196,7 @@ class HybridCompressor(Compressor):
         elif inner == self._entropy.name:
             result = self._entropy.decompress(payload)
         else:
-            raise ValueError(f"hybrid: unknown inner codec {inner!r}")
+            raise CorruptPayloadError(f"hybrid: unknown inner codec {inner!r}")
         if OBS.enabled:
             OBS.registry.counter(
                 "hybrid_decompressed_bytes_total", "hybrid decompress output bytes"

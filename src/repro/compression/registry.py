@@ -24,7 +24,7 @@ from repro.compression.baselines import (
 from repro.compression.entropy import EntropyCompressor
 from repro.compression.homomorphic import CountSumCompressor, QuantSumCompressor
 from repro.compression.hybrid import HybridCompressor
-from repro.compression.serialization import has_checksum, verify_checksum_frame
+from repro.compression.serialization import CorruptPayloadError, has_checksum, verify_checksum_frame
 from repro.compression.vector_lz import VectorLZCompressor
 
 __all__ = ["register_compressor", "get_compressor", "available_compressors", "decompress_any"]
@@ -82,5 +82,5 @@ def decompress_any(payload: bytes | memoryview) -> np.ndarray:
     header, _ = parse_payload(payload)
     codec = header["codec"]
     if codec not in _FACTORIES:
-        raise KeyError(f"payload codec {codec!r} is not registered")
+        raise CorruptPayloadError(f"payload codec {codec!r} is not registered")
     return _FACTORIES[codec]().decompress(payload)

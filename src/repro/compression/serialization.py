@@ -62,8 +62,9 @@ CHECKSUM_MAGIC = 0xC5
 
 
 class CorruptPayloadError(ValueError):
-    """A payload failed verification: a CRC32 mismatch, or a header that
-    declares a dtype no codec emits.
+    """A payload failed verification: a CRC32 mismatch, a header that
+    declares a dtype no codec emits or names no registered codec, or a
+    header whose shape disagrees with the body.
 
     The CRC32 check applies only to frames that *declare* a checksum — an
     unframed payload is never rejected for lacking one (integrity is

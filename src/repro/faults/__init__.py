@@ -17,8 +17,11 @@ on the simulated clock — across the whole train → publish → serve path:
   fail-fast so a dead node degrades responses instead of queueing them.
 * :mod:`repro.faults.checkpoint` — :class:`TrainerCheckpoint`:
   parameter/optimizer/pipeline snapshots with bit-identical resume.
-* :mod:`repro.faults.scenario` — the day-in-the-life chaos scenario and
-  its invariants.
+
+The day-in-the-life chaos scenario lives with the healthy one in
+:mod:`repro.obs.scenario` — it is the same run plus a :class:`FaultPlan`
+— and is re-exported here: :func:`run_day_in_the_life_under_faults`,
+:class:`ChaosResult`, :class:`ChaosInvariantViolation`.
 """
 
 from repro.faults.breaker import CircuitBreaker
@@ -34,7 +37,7 @@ from repro.faults.plan import (
     StragglerFault,
 )
 from repro.faults.retry import RetryOutcome, RetryPolicy
-from repro.faults.scenario import (
+from repro.obs.scenario import (
     ChaosInvariantViolation,
     ChaosResult,
     run_day_in_the_life_under_faults,

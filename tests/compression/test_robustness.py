@@ -162,3 +162,29 @@ class TestUntrustedDtypes:
             codec.decompress(mangled)
         with pytest.raises(CorruptPayloadError, match="dtype"):
             agg_sum(payload, mangled)
+
+
+class TestHeaderBodyDisagreement:
+    """A header that lies about the body raises the one documented error."""
+
+    @pytest.mark.parametrize("codec_name", available_compressors())
+    def test_shape_disagreeing_with_body_rejected(self, payloads, codec_name):
+        # a negative extent is what a flipped shape byte decodes to; NumPy
+        # would happily infer it, so only the shape check can catch it
+        codec, payload, batch = payloads[codec_name]
+        header, body = parse_payload(payload)
+        shape = np.asarray((batch.shape[0], -1), dtype=np.int64)
+        mangled = _reframe({**header, "shape": shape}, body)
+        with pytest.raises(CorruptPayloadError, match="decoded shape|body holds"):
+            codec.decompress(mangled)
+        with pytest.raises(CorruptPayloadError, match="decoded shape|body holds"):
+            decompress_any(mangled)
+
+    def test_unregistered_codec_rejected(self, payloads):
+        codec, payload, _ = payloads["hybrid"]
+        header, body = parse_payload(payload)
+        mangled = _reframe({**header, "codec": "nobody"}, body)
+        with pytest.raises(CorruptPayloadError, match="is not registered"):
+            decompress_any(mangled)
+        with pytest.raises(CorruptPayloadError, match="unknown inner codec"):
+            codec.decompress(mangled)

@@ -24,6 +24,14 @@ class TestInvariants:
         assert result.restores >= 1
         assert result.checkpoints_taken >= 1
 
+    def test_one_checkpoint_per_checkpoint_iteration(self, result):
+        # the restore lands back on a checkpointed iteration; that state is
+        # not captured (nor its memcpy charged) a second time
+        assert result.checkpoints_taken == len(range(0, 4, 2))
+        wider = run_day_in_the_life_under_faults(n_iterations=6, n_requests=60)
+        assert wider.restores == 1
+        assert wider.checkpoints_taken == len(range(0, 6, 2))
+
     def test_training_makespan_never_shrinks_under_faults(self, result):
         assert result.faulty_train_makespan >= result.healthy_train_makespan
 
@@ -68,16 +76,20 @@ class TestObservability:
         assert "shard_crash" in kinds
 
     def test_artifacts_written_and_valid(self, result):
+        # the same artifact set as the healthy run
         assert set(result.paths) == {
             "metrics.json",
             "metrics.prom",
-            "chaos_trace.json",
+            "obs_trace.json",
             "run_report.txt",
+            "critical_path.json",
         }
         for path in result.paths.values():
             assert path.exists() and path.stat().st_size > 0
-        validate_snapshot_json(result.paths["metrics.json"].read_text())
-        trace = json.loads(result.paths["chaos_trace.json"].read_text())
+        metrics = result.paths["metrics.json"].read_text()
+        validate_snapshot_json(metrics)
+        assert set(json.loads(metrics)["reports"]) == {"critical_path", "slo"}
+        trace = json.loads(result.paths["obs_trace.json"].read_text())
         assert trace["traceEvents"]
         assert "fault" in result.paths["run_report.txt"].read_text().lower()
 
