@@ -1,4 +1,4 @@
-"""Common compressor interface and payload framing.
+"""Common compressor interface and the one payload frame.
 
 All compressors in this library — the paper's hybrid compressor and every
 baseline — share one contract:
@@ -11,32 +11,73 @@ baseline — share one contract:
   within the error bound (lossy codecs).
 
 Lossless codecs ignore the error bound argument; fixed-rate codecs (FP16,
-FP8) ignore it too but remain lossy.  The payload begins with a magic byte,
-a codec-name string and the original dtype/shape, followed by codec-specific
-metadata and the body.
+FP8) ignore it too but remain lossy.
+
+**The frame.**  :func:`frame_parts` and :func:`parse_payload` are the only
+code that knows the payload layout, all fields little-endian:
+
+1. magic u8 ``0xDC`` and version u8 ``1``;
+2. the codec's registry id u8 and the array's dtype code u8 (an index into
+   :data:`~repro.compression.serialization.WIRE_DTYPES`, ``<f4`` or
+   ``<f8``);
+3. ndim u8, then one u32 per dimension, then the body length u32;
+4. the codec's scalar slots, one fixed-width :mod:`struct` field each;
+5. the codec's array fields, each a u32 element count plus the raw
+   elements in the dtype the codec's schema fixes;
+6. a CRC32 u32 over every header byte before it plus the body — built in,
+   always on;
+7. the body, exactly the declared length and the rest of the frame.
+
+Each codec declares its ``codec_id`` and :class:`FrameSchema` once, next to
+its ``name``.  The packer raises :class:`OverflowError` rather than
+truncate a value that does not fit its slot, and every parse failure —
+bad magic, version, codec id or dtype code, truncation, a declared length
+that overruns the frame, a CRC mismatch — raises
+:class:`~repro.compression.serialization.CorruptPayloadError`.
 """
 
 from __future__ import annotations
 
+import math
+import struct
+import zlib
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
 
-from repro.compression.serialization import CorruptPayloadError, pack_meta, unpack_meta, wire_dtype
+from repro.compression.serialization import CorruptPayloadError, dtype_code, wire_dtype
 
 __all__ = [
     "Compressor",
     "CompressionResult",
+    "FrameSchema",
     "frame_payload",
     "frame_parts",
     "parse_payload",
-    "header_dtype",
+    "require_frame",
+    "require_body",
     "MAGIC",
+    "VERSION",
+    "MAX_ELEMENTS",
 ]
 
 MAGIC = 0xDC  # "DLRM Compression" frame marker
+VERSION = 1
+
+#: the array dtypes a frame may declare: exactly the inputs ``_validate`` accepts
+_FRAME_DTYPES = (np.dtype("<f4"), np.dtype("<f8"))
+
+#: declared-size cap: a frame whose shape holds more elements is corrupt, so
+#: a flipped dimension byte cannot make a decoder allocate gigabytes
+MAX_ELEMENTS = 1 << 30
+
+# magic, version, codec id, dtype code, ndim
+_PREFIX = struct.Struct("<BBBBB")
+# the two dims of a (batch, dim) frame, then the body length
+_DIMS = struct.Struct("<3I")
+_U32 = struct.Struct("<I")
 
 #: body types a codec may return: a single buffer or a list of buffer parts
 #: (each part is anything exposing the buffer protocol — bytes, memoryview,
@@ -44,6 +85,38 @@ MAGIC = 0xDC  # "DLRM Compression" frame marker
 #: to the framer without first concatenating them into an intermediate
 #: ``bytes``; the framer performs the single final copy.
 Body = "bytes | bytearray | memoryview | np.ndarray | list"
+
+
+class FrameSchema:
+    """A codec's header fields: fixed-width scalar slots, then array fields.
+
+    ``slots`` pairs each scalar field with its :mod:`struct` format
+    character; ``arrays`` pairs each 1-D array field with the dtype its
+    elements take on the wire.
+    """
+
+    def __init__(self, slots: tuple[tuple[str, str], ...] = (), arrays: tuple[tuple[str, Any], ...] = ()):
+        self.fields = tuple(name for name, _ in slots)
+        self.struct = struct.Struct("<" + "".join(fmt for _, fmt in slots))
+        self.arrays = tuple((name, np.dtype(dtype).newbyteorder("<")) for name, dtype in arrays)
+        self.size = len(self.fields) + len(self.arrays)
+
+
+#: codec id -> the codec class that owns it (filled by ``__init_subclass__``)
+_CODECS: dict[int, type[Compressor]] = {}
+
+
+def require_frame(condition: bool, message: str) -> None:
+    """Raise :class:`CorruptPayloadError` with ``message`` unless ``condition``."""
+    if not condition:
+        raise CorruptPayloadError(message)
+
+
+def require_body(codec: str, have: int, shape: tuple[int, ...], per_element: int = 1, unit: str = "symbols") -> None:
+    """:class:`CorruptPayloadError` unless a frame holds exactly
+    ``per_element`` ``unit`` for each element of its declared ``shape``."""
+    need = math.prod(shape) * per_element
+    require_frame(have == need, f"{codec}: body holds {have} {unit}, shape {shape} needs {need}")
 
 
 def _as_buffer(part) -> memoryview | bytes:
@@ -60,32 +133,53 @@ def _as_buffer(part) -> memoryview | bytes:
     return part
 
 
+def _wire_array(codec: str, name: str, value: Any, dtype: np.dtype) -> np.ndarray:
+    """``value`` as a contiguous 1-D array of ``dtype``; raises instead of
+    wrapping a value the wire dtype cannot hold."""
+    array = np.asarray(value)
+    if array.ndim != 1:
+        raise ValueError(f"{codec}: array field {name!r} must be 1-D, got shape {array.shape}")
+    if array.dtype != dtype:
+        cast = array.astype(dtype)
+        if not np.array_equal(cast, array):
+            raise OverflowError(f"{codec}: array field {name!r} does not fit {dtype}")
+        array = cast
+    return np.ascontiguousarray(array)
+
+
 def frame_parts(
-    codec: str,
+    codec: Compressor,
     array_shape: tuple[int, ...],
     array_dtype: np.dtype,
     meta: dict[str, Any],
     body,
 ) -> list:
     """Header + body as a list of buffer parts (no concatenation yet)."""
-    header = {
-        "codec": codec,
-        "dtype": np.dtype(array_dtype).str,
-        "shape": np.asarray(array_shape, dtype=np.int64),
-        **meta,
-    }
-    packed = bytearray([MAGIC])
-    packed += pack_meta(header)
-    parts: list = [bytes(packed)]
-    if isinstance(body, (list, tuple)):
-        parts.extend(_as_buffer(p) for p in body)
-    else:
-        parts.append(_as_buffer(body))
-    return parts
+    schema = codec.schema
+    if len(meta) != schema.size:  # a field outside the schema would be dropped silently
+        raise ValueError(f"{codec.name}: meta fields {sorted(meta)} do not match its frame schema")
+    parts = [_as_buffer(p) for p in body] if isinstance(body, (list, tuple)) else [_as_buffer(body)]
+    body_len = sum(memoryview(p).nbytes for p in parts)
+    header = bytearray()
+    try:
+        header += _PREFIX.pack(MAGIC, VERSION, codec.codec_id, dtype_code(array_dtype), len(array_shape))
+        header += _DIMS.pack(*array_shape, body_len)
+        header += schema.struct.pack(*(meta[name] for name in schema.fields))
+        for name, dtype in schema.arrays:
+            values = _wire_array(codec.name, name, meta[name], dtype)
+            header += _U32.pack(values.size)
+            header += values.tobytes()
+    except struct.error as err:
+        raise OverflowError(f"{codec.name}: a header value does not fit its frame slot ({err})") from None
+    crc = zlib.crc32(header)
+    for part in parts:
+        crc = zlib.crc32(part, crc)
+    header += _U32.pack(crc)
+    return [bytes(header), *parts]
 
 
 def frame_payload(
-    codec: str,
+    codec: Compressor,
     array_shape: tuple[int, ...],
     array_dtype: np.dtype,
     meta: dict[str, Any],
@@ -94,25 +188,67 @@ def frame_payload(
     """Assemble the standard self-describing payload.
 
     ``body`` may be a single buffer or a sequence of buffer parts; either
-    way the payload is assembled with one copy (``bytes.join`` over views),
-    byte-identical to the historical ``header + body`` concatenation.
+    way the payload is assembled with one copy (``bytes.join`` over views).
     """
     return b"".join(frame_parts(codec, array_shape, array_dtype, meta, body))
 
 
-def header_dtype(header: dict[str, Any]) -> np.dtype:
-    """The frame's array dtype; :class:`CorruptPayloadError` unless it is
-    ``<f4`` or ``<f8``, exactly the inputs ``_validate`` accepts."""
-    return wire_dtype(header["dtype"], ("<f4", "<f8"))
-
-
 def parse_payload(payload: bytes | memoryview) -> tuple[dict[str, Any], memoryview]:
-    """Split a framed payload into ``(header, body_view)``."""
+    """Split a framed payload into ``(header, body_view)``.
+
+    ``header`` holds the codec's slots and array fields (read-only views
+    into ``payload``) plus ``"codec"`` (the registry name), ``"dtype"`` and
+    ``"shape"`` (a tuple).  Every failure is a
+    :class:`~repro.compression.serialization.CorruptPayloadError`.
+    """
     view = memoryview(payload)
-    if len(view) == 0 or view[0] != MAGIC:
-        raise ValueError("not a repro compression payload (bad magic byte)")
-    header, pos = unpack_meta(view, 1)
-    return header, view[pos:]
+    size = view.nbytes
+    if size < _PREFIX.size or view[0] != MAGIC:
+        raise CorruptPayloadError("not a repro compression payload (bad magic byte)")
+    _, version, codec_id, code, ndim = _PREFIX.unpack_from(view)
+    if version != VERSION:
+        raise CorruptPayloadError(f"unsupported frame version {version} (this build reads {VERSION})")
+    codec = _CODECS.get(codec_id)
+    if codec is None:
+        raise CorruptPayloadError(f"payload codec id {codec_id} is not registered")
+    if ndim != 2:
+        raise CorruptPayloadError(f"frame declares a {ndim}-D shape; codecs frame 2-D batches")
+    schema = codec.schema
+    pos = _PREFIX.size + _DIMS.size + schema.struct.size
+    if pos > size:
+        raise CorruptPayloadError(f"truncated frame: {size} bytes cannot hold the {pos}-byte {codec.name} header")
+    *shape, body_len = _DIMS.unpack_from(view, _PREFIX.size)
+    header = dict(zip(schema.fields, schema.struct.unpack_from(view, pos - schema.struct.size)))
+    for name, dtype in schema.arrays:
+        if pos + 4 > size:
+            raise CorruptPayloadError(f"truncated frame: {codec.name} array field {name!r} is cut off")
+        (count,) = _U32.unpack_from(view, pos)
+        pos += 4
+        end = pos + count * dtype.itemsize
+        if end > size:
+            raise CorruptPayloadError(
+                f"{codec.name} array field {name!r} declares {count} elements, overrunning the frame"
+            )
+        header[name] = np.frombuffer(view, dtype, count, pos)
+        pos = end
+    if pos + 4 + body_len != size:
+        raise CorruptPayloadError(
+            f"{codec.name} frame declares a {body_len}-byte body but carries {size - pos - 4} bytes"
+        )
+    (stored,) = _U32.unpack_from(view, pos)
+    body = view[pos + 4 :]
+    actual = zlib.crc32(body, zlib.crc32(view[:pos]))
+    if actual != stored:
+        raise CorruptPayloadError(
+            f"frame checksum mismatch: stored CRC32 0x{stored:08x} != computed 0x{actual:08x}"
+            f" over {size - 4} bytes — payload corrupted in transit"
+        )
+    header["dtype"] = wire_dtype(code, _FRAME_DTYPES)
+    if math.prod(shape) > MAX_ELEMENTS:
+        raise CorruptPayloadError(f"frame declares shape {tuple(shape)}, over the {MAX_ELEMENTS}-element cap")
+    header["codec"] = codec.name
+    header["shape"] = tuple(shape)
+    return header, body
 
 
 @dataclass(frozen=True)
@@ -137,17 +273,33 @@ class CompressionResult:
 class Compressor(ABC):
     """Abstract base for batch-of-embedding-vector compressors.
 
-    Subclasses set :attr:`name` (registry key) and :attr:`lossy`, and
-    implement ``_compress_body`` / ``_decompress_body`` over the framed
-    metadata.  The public entry points validate inputs and handle framing.
+    Subclasses set :attr:`name` (registry key), :attr:`codec_id` and
+    :attr:`schema` (their frame layout) and :attr:`lossy`, and implement
+    ``_compress_body`` / ``_decompress_body`` over the framed metadata.
+    The public entry points validate inputs and handle framing.
     """
 
     #: registry key, e.g. ``"hybrid"`` or ``"fp16"``
     name: str = "abstract"
+    #: the u8 id that names this codec in its frames (``None``: frames none)
+    codec_id: int | None = None
+    #: this codec's header fields
+    schema: FrameSchema = FrameSchema()
     #: whether reconstruction may differ from the input
     lossy: bool = True
     #: whether the codec honours the ``error_bound`` argument
     error_bounded: bool = False
+
+    def __init_subclass__(cls, **kwargs: Any) -> None:
+        super().__init_subclass__(**kwargs)
+        codec_id = cls.__dict__.get("codec_id")
+        if codec_id is None:
+            return
+        if not 0 <= codec_id <= 0xFF:
+            raise ValueError(f"{cls.name}: codec_id must fit a u8, got {codec_id}")
+        owner = _CODECS.setdefault(codec_id, cls)
+        if owner is not cls:
+            raise ValueError(f"{cls.name}: codec_id {codec_id} already belongs to {owner.name!r}")
 
     def _validate(self, array: np.ndarray, error_bound: float | None) -> np.ndarray:
         array = np.ascontiguousarray(array)
@@ -164,7 +316,7 @@ class Compressor(ABC):
         """Compress a 2-D float batch into a self-describing payload."""
         array = self._validate(array, error_bound)
         meta, body = self._compress_body(array, error_bound)
-        return frame_payload(self.name, array.shape, array.dtype, meta, body)
+        return frame_payload(self, array.shape, array.dtype, meta, body)
 
     def compress_into(self, array: np.ndarray, error_bound: float | None = None, *, pool):
         """Compress into a pooled buffer; returns a live ``Lease``.
@@ -178,7 +330,7 @@ class Compressor(ABC):
         """
         array = self._validate(array, error_bound)
         meta, body = self._compress_body(array, error_bound)
-        parts = frame_parts(self.name, array.shape, array.dtype, meta, body)
+        parts = frame_parts(self, array.shape, array.dtype, meta, body)
         total = sum(memoryview(p).nbytes for p in parts)
         lease = pool.checkout(total)
         pos = 0
@@ -192,15 +344,17 @@ class Compressor(ABC):
 
     def decompress(self, payload: bytes | memoryview) -> np.ndarray:
         """Reconstruct the batch from a payload produced by :meth:`compress`."""
-        header, body = parse_payload(payload)
+        return self.decode(*parse_payload(payload))
+
+    def decode(self, header: dict[str, Any], body: memoryview) -> np.ndarray:
+        """Reconstruct the batch from a frame :func:`parse_payload` split."""
         if header["codec"] != self.name:
-            raise ValueError(
+            raise CorruptPayloadError(
                 f"payload was produced by codec {header['codec']!r}, not {self.name!r};"
                 " use repro.compression.registry.decompress_any"
             )
-        shape = tuple(int(s) for s in header["shape"])
-        dtype = header_dtype(header)
-        array = self._decompress_body(header, body, shape, dtype)
+        shape = header["shape"]
+        array = self._decompress_body(header, body, shape, header["dtype"])
         if array.shape != shape:
             raise CorruptPayloadError(f"{self.name}: decoded shape {array.shape} != {shape}")
         return array

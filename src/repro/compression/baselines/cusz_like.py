@@ -23,7 +23,7 @@ from typing import Any
 
 import numpy as np
 
-from repro.compression.base import Compressor
+from repro.compression.base import Compressor, FrameSchema, require_body
 from repro.compression.huffman import (
     HuffmanEncoded,
     huffman_decode,
@@ -58,6 +58,11 @@ class CuszLikeCompressor(Compressor):
     """Error-bounded Lorenzo + quantization + Huffman (cuSZ family)."""
 
     name = "cusz_like"
+    codec_id = 7
+    schema = FrameSchema(
+        slots=(("eb", "d"), ("res_min", "q"), ("total_symbols", "Q")),
+        arrays=(("code_lengths", np.uint8), ("chunk_bit_offsets", np.uint64), ("chunk_symbol_counts", np.int64)),
+    )
     lossy = True
     error_bounded = True
 
@@ -81,6 +86,7 @@ class CuszLikeCompressor(Compressor):
     def _decompress_body(
         self, header: dict[str, Any], body: memoryview, shape: tuple[int, ...], dtype: np.dtype
     ) -> np.ndarray:
+        require_body(self.name, header["total_symbols"], shape)
         encoded = HuffmanEncoded(
             payload=np.frombuffer(body, dtype=np.uint8),
             code_lengths=header["code_lengths"].astype(np.int64),

@@ -13,7 +13,7 @@ from typing import Any
 
 import numpy as np
 
-from repro.compression.base import Compressor
+from repro.compression.base import Compressor, require_body
 
 __all__ = ["Fp16Compressor", "Fp8Compressor", "e4m3_value_table", "float32_to_e4m3", "e4m3_to_float32"]
 
@@ -73,6 +73,7 @@ class Fp16Compressor(Compressor):
     """Cast to IEEE half precision: fixed 2x reduction from float32."""
 
     name = "fp16"
+    codec_id = 3
     lossy = True
     error_bounded = False
 
@@ -82,6 +83,7 @@ class Fp16Compressor(Compressor):
     def _decompress_body(
         self, header: dict[str, Any], body: memoryview, shape: tuple[int, ...], dtype: np.dtype
     ) -> np.ndarray:
+        require_body(self.name, body.nbytes, shape, 2, "bytes")
         return np.frombuffer(body, dtype=np.float16).reshape(shape).astype(dtype)
 
 
@@ -89,6 +91,7 @@ class Fp8Compressor(Compressor):
     """Cast to E4M3 8-bit floats: fixed 4x reduction from float32."""
 
     name = "fp8"
+    codec_id = 4
     lossy = True
     error_bounded = False
 
@@ -98,5 +101,6 @@ class Fp8Compressor(Compressor):
     def _decompress_body(
         self, header: dict[str, Any], body: memoryview, shape: tuple[int, ...], dtype: np.dtype
     ) -> np.ndarray:
+        require_body(self.name, body.nbytes, shape, 1, "bytes")
         codes = np.frombuffer(body, dtype=np.uint8).reshape(shape)
         return e4m3_to_float32(codes).astype(dtype)

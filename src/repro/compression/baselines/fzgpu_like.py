@@ -13,11 +13,12 @@ fixed-size blocks, and an all-zero-block bitmap elides empty blocks.
 
 from __future__ import annotations
 
+import math
 from typing import Any
 
 import numpy as np
 
-from repro.compression.base import Compressor
+from repro.compression.base import Compressor, FrameSchema, require_frame
 from repro.compression.quantizer import quantize
 
 __all__ = [
@@ -147,12 +148,22 @@ class FzGpuLikeCompressor(Compressor):
     """Error-bounded bitshuffle + sparse bitplane codec (FZ-GPU family)."""
 
     name = "fzgpu_like"
+    codec_id = 8
+    schema = FrameSchema(
+        slots=(
+            ("eb", "d"),
+            ("n_values", "Q"),
+            ("block_bytes", "H"),
+            ("n_blocks_per_plane", "Q"),
+            ("bitmap_len", "Q"),
+        )
+    )
     lossy = True
     error_bounded = True
 
     def __init__(self, block_bytes: int = DEFAULT_BLOCK_BYTES):
-        if block_bytes < 1:
-            raise ValueError(f"block_bytes must be >= 1, got {block_bytes}")
+        if not 1 <= block_bytes <= 0xFFFF:
+            raise ValueError(f"block_bytes must be in [1, 65535], got {block_bytes}")
         self.block_bytes = int(block_bytes)
 
     def _compress_body(self, array: np.ndarray, error_bound: float | None) -> tuple[dict[str, Any], bytes]:
@@ -182,7 +193,21 @@ class FzGpuLikeCompressor(Compressor):
         block_bytes = header["block_bytes"]
         n_blocks = header["n_blocks_per_plane"]
         bitmap_len = header["bitmap_len"]
+        packed_len = (n + 7) // 8
+        require_frame(
+            n == math.prod(shape)
+            and block_bytes >= 1
+            and n_blocks == (packed_len + block_bytes - 1) // block_bytes
+            and bitmap_len == (_PLANES * n_blocks + 7) // 8
+            and bitmap_len <= body.nbytes,
+            f"{self.name}: body holds {n} values in {n_blocks} blocks, inconsistent with shape {shape}",
+        )
         raw = np.frombuffer(body, dtype=np.uint8)
+        n_nonzero = int(np.unpackbits(raw[:bitmap_len], count=_PLANES * n_blocks).sum())
+        require_frame(
+            raw.size - bitmap_len == n_nonzero * block_bytes,
+            f"{self.name}: body holds {raw.size - bitmap_len} block bytes, bitmap needs {n_nonzero * block_bytes}",
+        )
         unsigned = unpack_bitplanes(raw[:bitmap_len], raw[bitmap_len:], n, block_bytes, n_blocks)
         codes = zigzag_decode(unsigned).reshape(shape)
         return (codes.astype(np.float64) * (2.0 * header["eb"])).astype(dtype)

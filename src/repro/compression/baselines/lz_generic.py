@@ -26,7 +26,8 @@ from typing import Any
 
 import numpy as np
 
-from repro.compression.base import Compressor
+from repro.compression.base import Compressor, FrameSchema, require_body, require_frame
+from repro.compression.serialization import CorruptPayloadError
 from repro.compression.huffman import (
     HuffmanEncoded,
     huffman_decode,
@@ -232,6 +233,8 @@ def _read_varnibble(data: bytes | memoryview, pos: int, nibble: int) -> tuple[in
     value = nibble
     if nibble == 15:
         while True:
+            if pos >= len(data):
+                raise CorruptPayloadError("corrupt LZ77 stream: truncated length extension")
             ext = data[pos]
             pos += 1
             value += ext
@@ -262,8 +265,11 @@ def lz77_decode_bytes(stream: bytes | memoryview, expected_size: int) -> bytes:
         pos += 2
         match_len, pos = _read_varnibble(stream, pos, token & 0xF)
         match_len += MIN_MATCH
-        if offset == 0 or offset > len(out):
-            raise ValueError(f"corrupt LZ77 stream: offset {offset} at output size {len(out)}")
+        if offset == 0 or offset > len(out) or len(out) + match_len > expected_size:
+            raise CorruptPayloadError(
+                f"corrupt LZ77 stream: {match_len}-byte match at offset {offset}"
+                f" from output size {len(out)} (expected {expected_size})"
+            )
         start = len(out) - offset
         if offset >= match_len:
             out += out[start : start + match_len]
@@ -273,7 +279,7 @@ def lz77_decode_bytes(stream: bytes | memoryview, expected_size: int) -> bytes:
             repeats = -(-match_len // offset)
             out += (period * repeats)[:match_len]
     if len(out) != expected_size:
-        raise ValueError(f"corrupt LZ77 stream: decoded {len(out)} bytes, expected {expected_size}")
+        raise CorruptPayloadError(f"corrupt LZ77 stream: decoded {len(out)} bytes, expected {expected_size}")
     return bytes(out)
 
 
@@ -305,10 +311,18 @@ def _reference_lz77_decode_bytes(stream: bytes | memoryview, expected_size: int)
     return bytes(out)
 
 
+def _max_lz_size(raw_size: int) -> int:
+    """A bound on the LZ77 stream :func:`lz77_encode_bytes` emits for
+    ``raw_size`` bytes (tokens never double the input)."""
+    return 2 * raw_size + 16
+
+
 class Lz4LikeCompressor(Compressor):
     """Lossless byte-LZ77 with a traditional 4 KB window (nvCOMP-LZ4 family)."""
 
     name = "lz4_like"
+    codec_id = 5
+    schema = FrameSchema(slots=(("raw_size", "Q"), ("window", "I")))
     lossy = False
     error_bounded = False
 
@@ -324,6 +338,7 @@ class Lz4LikeCompressor(Compressor):
     def _decompress_body(
         self, header: dict[str, Any], body: memoryview, shape: tuple[int, ...], dtype: np.dtype
     ) -> np.ndarray:
+        require_body(self.name, header["raw_size"], shape, dtype.itemsize, "raw bytes")
         raw = lz77_decode_bytes(body, header["raw_size"])
         return np.frombuffer(raw, dtype=dtype).reshape(shape)
 
@@ -332,6 +347,11 @@ class DeflateLikeCompressor(Compressor):
     """LZ77 + Huffman over the token stream (nvCOMP-Deflate family)."""
 
     name = "deflate_like"
+    codec_id = 6
+    schema = FrameSchema(
+        slots=(("raw_size", "Q"), ("lz_size", "Q"), ("window", "I")),
+        arrays=(("code_lengths", np.uint8), ("chunk_bit_offsets", np.uint64), ("chunk_symbol_counts", np.int64)),
+    )
     lossy = False
     error_bounded = False
 
@@ -357,6 +377,12 @@ class DeflateLikeCompressor(Compressor):
     def _decompress_body(
         self, header: dict[str, Any], body: memoryview, shape: tuple[int, ...], dtype: np.dtype
     ) -> np.ndarray:
+        raw_size = header["raw_size"]
+        require_body(self.name, raw_size, shape, dtype.itemsize, "raw bytes")
+        require_frame(
+            header["lz_size"] <= _max_lz_size(raw_size),
+            f"{self.name}: a {header['lz_size']}-byte LZ stream cannot hold {raw_size} raw bytes",
+        )
         encoded = HuffmanEncoded(
             payload=np.frombuffer(body, dtype=np.uint8),
             code_lengths=header["code_lengths"].astype(np.int64),

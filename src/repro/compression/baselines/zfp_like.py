@@ -24,11 +24,12 @@ float32 input, minus header overhead.
 
 from __future__ import annotations
 
+import math
 from typing import Any
 
 import numpy as np
 
-from repro.compression.base import Compressor
+from repro.compression.base import Compressor, FrameSchema, require_frame
 from repro.compression.bitstream import pack_fixed, unpack_fixed
 
 __all__ = ["ZfpLikeCompressor", "block_transform", "inverse_block_transform"]
@@ -75,6 +76,11 @@ class ZfpLikeCompressor(Compressor):
     """
 
     name = "zfp_like"
+    codec_id = 9
+    schema = FrameSchema(
+        slots=(("rate", "B"), ("n_blocks", "Q"), ("pad", "B")),
+        arrays=(("exponents", np.int8), ("shifts", np.uint8)),
+    )
     lossy = True
     error_bounded = False
 
@@ -127,6 +133,15 @@ class ZfpLikeCompressor(Compressor):
     ) -> np.ndarray:
         rate = header["rate"]
         n_blocks = header["n_blocks"]
+        pad = header["pad"]
+        require_frame(
+            2 <= rate <= 28
+            and pad < _BLOCK
+            and n_blocks * _BLOCK == math.prod(shape) + pad
+            and header["exponents"].size == header["shifts"].size == n_blocks
+            and body.nbytes == (n_blocks * _BLOCK * rate + 7) // 8,
+            f"{self.name}: body holds {n_blocks} blocks at rate {rate}, inconsistent with shape {shape}",
+        )
         fields = unpack_fixed(
             np.frombuffer(body, dtype=np.uint8), n_blocks * _BLOCK, rate
         ).reshape(n_blocks, _BLOCK)

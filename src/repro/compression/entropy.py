@@ -20,7 +20,7 @@ from typing import Any
 
 import numpy as np
 
-from repro.compression.base import Compressor
+from repro.compression.base import Compressor, FrameSchema, require_body
 from repro.compression.cache import TableCodebookCache
 from repro.compression.huffman import (
     DEFAULT_CHUNK_SYMBOLS,
@@ -52,6 +52,11 @@ class EntropyCompressor(Compressor):
     """
 
     name = "entropy"
+    codec_id = 2
+    schema = FrameSchema(
+        slots=(("eb", "d"), ("code_min", "q"), ("total_symbols", "Q")),
+        arrays=(("code_lengths", np.uint8), ("chunk_bit_offsets", np.uint64), ("chunk_symbol_counts", np.int64)),
+    )
     lossy = True
     error_bounded = True
 
@@ -136,6 +141,7 @@ class EntropyCompressor(Compressor):
     def _decompress_body(
         self, header: dict[str, Any], body: memoryview, shape: tuple[int, ...], dtype: np.dtype
     ) -> np.ndarray:
+        require_body(self.name, header["total_symbols"], shape)
         encoded = HuffmanEncoded(
             payload=np.frombuffer(body, dtype=np.uint8),
             code_lengths=header["code_lengths"].astype(np.int64),

@@ -46,9 +46,9 @@ from typing import Any
 
 import numpy as np
 
-from repro.compression.base import Compressor, frame_payload, header_dtype, parse_payload
+from repro.compression.base import Compressor, FrameSchema, frame_payload, parse_payload, require_body
 from repro.compression.quantizer import quantize
-from repro.compression.serialization import CorruptPayloadError, wire_dtype
+from repro.compression.serialization import CorruptPayloadError, dtype_code, wire_dtype
 
 __all__ = [
     "HomomorphicCompressor",
@@ -103,11 +103,10 @@ class HomomorphicCompressor(Compressor):
                 header["codec"] == self.name,
                 f"agg_sum: payload codec {header['codec']!r} != {self.name!r}",
             )
-        shape = tuple(int(s) for s in header_a["shape"])
+        shape = header_a["shape"]
         _require(
-            shape == tuple(int(s) for s in header_b["shape"]),
-            f"agg_sum: payload shapes differ: {shape} vs "
-            f"{tuple(int(s) for s in header_b['shape'])}",
+            shape == header_b["shape"],
+            f"agg_sum: payload shapes differ: {shape} vs {header_b['shape']}",
         )
         _require(
             header_a["dtype"] == header_b["dtype"],
@@ -120,7 +119,7 @@ class HomomorphicCompressor(Compressor):
         )
         meta, body = self._agg_meta_body(header_a, body_a, header_b, body_b, shape)
         meta["terms"] = terms
-        return frame_payload(self.name, shape, header_dtype(header_a), meta, body)
+        return frame_payload(self, shape, header_a["dtype"], meta, body)
 
     def payload_bound(self, payload) -> float:
         """Closed-form reconstruction bound of a (possibly aggregated)
@@ -155,8 +154,7 @@ class HomomorphicCompressor(Compressor):
             header["codec"] == self.name,
             f"payload was produced by codec {header['codec']!r}, not {self.name!r}",
         )
-        shape = tuple(int(s) for s in header["shape"])
-        dtype = header_dtype(header)
+        shape, dtype = header["shape"], header["dtype"]
         lease, out = pool.checkout_array(shape, dtype)
         out[...] = self._decompress_body(header, body, shape, dtype)
         return lease, out
@@ -177,9 +175,13 @@ class HomomorphicCompressor(Compressor):
         raise NotImplementedError
 
 
+#: the code dtypes :func:`_narrowest_int` emits
+_CODE_DTYPES = tuple(map(np.dtype, ("|i1", "<i2", "<i4", "<i8")))
+
+
 def _code_dtype(header: dict[str, Any]) -> np.dtype:
     """A ``quant_sum`` header's code dtype: one :func:`_narrowest_int` emits."""
-    return wire_dtype(header["cdtype"], ("|i1", "<i2", "<i4", "<i8"))
+    return wire_dtype(header["cdtype"], _CODE_DTYPES)
 
 
 def _narrowest_int(codes: np.ndarray) -> np.ndarray:
@@ -202,6 +204,8 @@ class QuantSumCompressor(HomomorphicCompressor):
     """
 
     name = "quant_sum"
+    codec_id = 10
+    schema = FrameSchema(slots=(("scale", "d"), ("terms", "I"), ("cdtype", "B"), ("cmax", "Q")))
     lossy = True
     error_bounded = True
 
@@ -221,7 +225,7 @@ class QuantSumCompressor(HomomorphicCompressor):
         meta = {
             "scale": 2.0 * float(error_bound),
             "terms": 1,
-            "cdtype": narrow.dtype.str,
+            "cdtype": dtype_code(narrow.dtype),
             "cmax": cmax,
         }
         return meta, narrow
@@ -233,13 +237,9 @@ class QuantSumCompressor(HomomorphicCompressor):
         shape: tuple[int, ...],
         dtype: np.dtype,
     ) -> np.ndarray:
-        count = int(np.prod(shape, dtype=np.int64))
-        codes = np.frombuffer(body, dtype=_code_dtype(header))
-        _require(
-            codes.size == count,
-            f"{self.name}: body holds {codes.size} codes, expected {count}",
-            CorruptPayloadError,
-        )
+        code_dtype = _code_dtype(header)
+        require_body(self.name, body.nbytes, shape, code_dtype.itemsize, "bytes")
+        codes = np.frombuffer(body, dtype=code_dtype)
         centres = codes.astype(np.float64) * float(header["scale"])
         return centres.astype(dtype).reshape(shape)
 
@@ -255,20 +255,16 @@ class QuantSumCompressor(HomomorphicCompressor):
             f"agg_sum: composed code magnitude bound {cmax} would risk int64 overflow",
         )
         count = int(np.prod(shape, dtype=np.int64))
-        codes_a = np.frombuffer(body_a, dtype=_code_dtype(header_a))
-        codes_b = np.frombuffer(body_b, dtype=_code_dtype(header_b))
+        dtype_a, dtype_b = _code_dtype(header_a), _code_dtype(header_b)
         _require(
-            codes_a.size == count and codes_b.size == count,
+            body_a.nbytes == count * dtype_a.itemsize and body_b.nbytes == count * dtype_b.itemsize,
             f"agg_sum: {self.name} body size mismatch",
         )
-        total = codes_a.astype(np.int64) + codes_b.astype(np.int64)
-        meta = {
-            "scale": float(header_a["scale"]),
-            "cdtype": "",  # replaced below; narrowing depends on the sum
-            "cmax": cmax,
-        }
+        total = np.frombuffer(body_a, dtype=dtype_a).astype(np.int64) + np.frombuffer(
+            body_b, dtype=dtype_b
+        ).astype(np.int64)
         narrow = _narrowest_int(total)
-        meta["cdtype"] = narrow.dtype.str
+        meta = {"scale": float(header_a["scale"]), "cdtype": dtype_code(narrow.dtype), "cmax": cmax}
         return meta, narrow
 
     def _header_bound(self, header: dict[str, Any]) -> float:
@@ -303,6 +299,8 @@ class CountSumCompressor(HomomorphicCompressor):
     """
 
     name = "count_sum"
+    codec_id = 11
+    schema = FrameSchema(slots=(("terms", "I"), ("w0", "B"), ("wlen", "B"), ("sexp", "h"), ("lmax", "Q")))
     lossy = False
     error_bounded = False
 
@@ -349,14 +347,18 @@ class CountSumCompressor(HomomorphicCompressor):
     def _parse_limbs(
         self, header: dict[str, Any], body: memoryview, count: int
     ) -> np.ndarray:
-        wlen = int(header["wlen"])
-        limbs = np.frombuffer(body, dtype=np.int64)
+        w0, wlen = int(header["w0"]), int(header["wlen"])
         _require(
-            limbs.size == wlen * count,
-            f"{self.name}: body holds {limbs.size} limbs, expected {wlen * count}",
+            w0 + wlen <= _MAX_LIMBS.get(int(header["sexp"]), 0),
+            f"{self.name}: limb window {w0}+{wlen} is outside grid 2**{header['sexp']}",
             CorruptPayloadError,
         )
-        return limbs.reshape(wlen, count)
+        _require(
+            body.nbytes == 8 * wlen * count,
+            f"{self.name}: body holds {body.nbytes // 8} limbs, expected {wlen * count}",
+            CorruptPayloadError,
+        )
+        return np.frombuffer(body, dtype=np.int64).reshape(wlen, count)
 
     def _decompress_body(
         self,
@@ -366,10 +368,10 @@ class CountSumCompressor(HomomorphicCompressor):
         dtype: np.dtype,
     ) -> np.ndarray:
         count = int(np.prod(shape, dtype=np.int64))
+        limbs = self._parse_limbs(header, body, count)
         wlen = int(header["wlen"])
         if wlen == 0 or count == 0:
             return np.zeros(shape, dtype=dtype)
-        limbs = self._parse_limbs(header, body, count)
         exp = _LIMB_BITS * int(header["w0"]) + int(header["sexp"])
         # Fast path: the whole integer fits int64 — one correctly-rounded
         # int64 -> float64 conversion plus an exact power-of-two scale.

@@ -28,6 +28,7 @@ import numpy as np
 
 from repro.compression.bitstream import _reference_pack_codes, pack_codes, padded_stream, word_table
 from repro.compression.cache import LruCache
+from repro.compression.serialization import CorruptPayloadError
 
 __all__ = [
     "huffman_code_lengths",
@@ -41,10 +42,14 @@ __all__ = [
     "huffman_decode",
     "DEFAULT_MAX_CODE_LENGTH",
     "DEFAULT_CHUNK_SYMBOLS",
+    "MAX_DECODE_CODE_LENGTH",
 ]
 
 DEFAULT_MAX_CODE_LENGTH = 15
 DEFAULT_CHUNK_SYMBOLS = 4096
+#: longest code the decoder's flat ``2**length``-entry peek table accepts;
+#: the encoder refuses a longer ``max_code_length``
+MAX_DECODE_CODE_LENGTH = 20
 
 #: decode-side peek tables keyed by the payload's code-length table; a flat
 #: 2**max_length table is expensive to rebuild and identical across all
@@ -290,6 +295,8 @@ def huffman_encode(
         )
     if chunk_symbols < 1:
         raise ValueError(f"chunk_symbols must be >= 1, got {chunk_symbols}")
+    if not 1 <= max_code_length <= MAX_DECODE_CODE_LENGTH:
+        raise ValueError(f"max_code_length must be in [1, {MAX_DECODE_CODE_LENGTH}], got {max_code_length}")
     if symbols.size == 0:
         return HuffmanEncoded(
             payload=np.zeros(0, dtype=np.uint8),
@@ -497,6 +504,33 @@ def _peek_tables_for(code_lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray, 
     return value
 
 
+def _check_stream(encoded: HuffmanEncoded, used_lengths: np.ndarray) -> None:
+    """Reject, before any table is built, a stream whose metadata no
+    encoder emits: :class:`CorruptPayloadError` on the first violation."""
+    total = encoded.total_symbols
+    counts = encoded.chunk_symbol_counts
+    if (
+        counts.size == 0
+        or counts.size != encoded.chunk_bit_offsets.size
+        or int(counts.min()) < 0
+        or int(counts.max()) > total
+        or int(counts.sum()) != total
+    ):
+        raise CorruptPayloadError(
+            f"corrupt Huffman stream: chunk symbol counts disagree with the {total}-symbol total"
+        )
+    if used_lengths.size == 0:
+        raise CorruptPayloadError("corrupt Huffman stream: no symbols have codes")
+    longest = int(used_lengths.max())
+    if longest > MAX_DECODE_CODE_LENGTH:
+        raise CorruptPayloadError(
+            f"corrupt Huffman stream: {longest}-bit code exceeds the {MAX_DECODE_CODE_LENGTH}-bit decoder limit"
+        )
+    # Kraft's inequality: an over-subscribed length table has no prefix code.
+    if int(np.sum(np.left_shift(1, longest - used_lengths.astype(np.int64)))) > (1 << longest):
+        raise CorruptPayloadError("corrupt Huffman stream: code lengths violate Kraft's inequality")
+
+
 def huffman_decode(encoded: HuffmanEncoded) -> np.ndarray:
     """Decode a :class:`HuffmanEncoded` stream back to dense symbols.
 
@@ -515,13 +549,16 @@ def huffman_decode(encoded: HuffmanEncoded) -> np.ndarray:
         return np.zeros(0, dtype=np.int64)
     lengths = encoded.code_lengths
     used = np.flatnonzero(lengths)
-    if used.size == 0:
-        raise ValueError("corrupt stream: no symbols have codes")
+    _check_stream(encoded, lengths[used])
     if used.size == 1:
         # Mirror of the encoder's single-symbol fast path.
         return np.full(encoded.total_symbols, int(used[0]), dtype=np.int64)
-    table_sym, table_len, max_len = _peek_tables_for(lengths)
     total_bits = encoded.payload.size * 8
+    if total_bits < encoded.total_symbols:  # every code is at least one bit
+        raise CorruptPayloadError(
+            f"corrupt Huffman stream: {total_bits} bits cannot hold {encoded.total_symbols} symbols"
+        )
+    table_sym, table_len, max_len = _peek_tables_for(lengths)
     padded = padded_stream(encoded.payload, 8)
     windows = _sliding_windows(padded, 0, total_bits, max_len)
     steps = np.take(table_len, windows)  # uint8: code length at every bit offset
@@ -533,10 +570,8 @@ def huffman_decode(encoded: HuffmanEncoded) -> np.ndarray:
     np.minimum(successor, pos_dtype(total_bits), out=successor)
     counts = encoded.chunk_symbol_counts.astype(np.int64)
     starts = encoded.chunk_bit_offsets.astype(np.int64)
-    if starts.size == 0:
-        raise ValueError("corrupt Huffman stream: symbols recorded but no chunks")
     if starts.min() < 0 or starts.max() > total_bits:
-        raise ValueError("corrupt Huffman stream: chunk offset outside payload")
+        raise CorruptPayloadError("corrupt Huffman stream: chunk offset outside payload")
     n_chunks = starts.size
     max_count = int(counts.max())
     # Resolve every chunk's jump chain simultaneously.  Composing the full
@@ -583,7 +618,7 @@ def huffman_decode(encoded: HuffmanEncoded) -> np.ndarray:
     seq_clamped = np.minimum(seq, pos_dtype(total_bits - 1))
     peek_steps = np.take(steps, seq_clamped)
     if (peek_steps == 0).any() or (seq == total_bits).any():
-        raise ValueError("corrupt Huffman stream: peek hit an unassigned code")
+        raise CorruptPayloadError("corrupt Huffman stream: peek hit an unassigned code")
     return np.take(table_sym, np.take(windows, seq_clamped))
 
 

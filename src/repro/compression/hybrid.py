@@ -26,7 +26,7 @@ from typing import Any
 
 import numpy as np
 
-from repro.compression.base import Compressor, parse_payload
+from repro.compression.base import Compressor
 from repro.compression.cache import EncoderPinCache, TableCodebookCache
 from repro.compression.entropy import EntropyCompressor
 from repro.compression.serialization import CorruptPayloadError
@@ -188,13 +188,13 @@ class HybridCompressor(Compressor):
             ).inc(len(best))
         return best
 
-    def decompress(self, payload: bytes | memoryview) -> np.ndarray:
-        header, _body = parse_payload(payload)
+    def decode(self, header: dict[str, Any], body: memoryview) -> np.ndarray:
+        """Decode a parsed frame with the leg that produced it."""
         inner = header["codec"]
         if inner == self._lz.name:
-            result = self._lz.decompress(payload)
+            result = self._lz.decode(header, body)
         elif inner == self._entropy.name:
-            result = self._entropy.decompress(payload)
+            result = self._entropy.decode(header, body)
         else:
             raise CorruptPayloadError(f"hybrid: unknown inner codec {inner!r}")
         if OBS.enabled:
@@ -203,7 +203,7 @@ class HybridCompressor(Compressor):
             ).inc(result.nbytes)
         return result
 
-    # The public compress/decompress are overridden wholesale (the payload is
+    # The public compress/decode are overridden wholesale (the payload is
     # delegated to the winning sub-codec), so the body hooks are unused.
     def _compress_body(self, array: np.ndarray, error_bound: float | None) -> tuple[dict[str, Any], bytes]:
         raise NotImplementedError("HybridCompressor delegates framing to its sub-codecs")

@@ -68,19 +68,32 @@ def available_compressors() -> tuple[str, ...]:
     return tuple(sorted(_FACTORIES))
 
 
+#: one default-constructed decoder per registered codec, built on first
+#: use: decoding reads everything it needs from the frame, never from
+#: constructor arguments
+_DECODERS: dict[str, Compressor] = {}
+
+
+def _decoder(name: str) -> Compressor:
+    decoder = _DECODERS.get(name)
+    if decoder is None:
+        if name not in _FACTORIES:
+            raise CorruptPayloadError(f"payload codec {name!r} is not registered")
+        decoder = _DECODERS[name] = _FACTORIES[name]()
+    return decoder
+
+
 def decompress_any(payload: bytes | memoryview) -> np.ndarray:
     """Decode a payload produced by any registered codec.
 
-    Accepts both bare codec frames and CRC32-checksummed envelopes (see
-    :func:`repro.compression.serialization.frame_with_checksum`); a
-    checksummed payload is verified first, so a corrupted frame raises
+    The frame is parsed once and handed to its codec's decoder.  Accepts
+    both bare codec frames and CRC32-checksummed envelopes (see
+    :func:`repro.compression.serialization.frame_with_checksum`); every
+    corruption raises
     :class:`~repro.compression.serialization.CorruptPayloadError` instead
     of decoding garbage.
     """
     if has_checksum(payload):
         payload = verify_checksum_frame(payload)
-    header, _ = parse_payload(payload)
-    codec = header["codec"]
-    if codec not in _FACTORIES:
-        raise CorruptPayloadError(f"payload codec {codec!r} is not registered")
-    return _FACTORIES[codec]().decompress(payload)
+    header, body = parse_payload(payload)
+    return _decoder(header["codec"]).decode(header, body)

@@ -1,35 +1,36 @@
-"""Compact binary serialization for compressor headers.
+"""Wire-level primitives shared by every codec frame.
 
 Every codec in this library produces a *self-describing* byte payload:
 the compressed ratio accounting includes the real header cost, not just the
-entropy-coded body.  Headers are dictionaries of simple typed values packed
-with a small tag-length-value format:
+entropy-coded body.  The frame itself is built and parsed in exactly one
+place, :mod:`repro.compression.base`; its fixed little-endian layout is
 
-==========  =============================================
-tag         value encoding
-==========  =============================================
-``I``       signed integer, zig-zag varint
-``F``       float64, 8 bytes little-endian
-``S``       UTF-8 string, varint length prefix
-``B``       raw bytes, varint length prefix
-``A``       ndarray: dtype string, ndim, shape, raw bytes
-==========  =============================================
+==================  ==========================================================
+field               encoding
+==================  ==========================================================
+magic, version      u8 ``0xDC``, u8 ``1``
+codec id            u8, the registry id each codec declares next to its name
+dtype code          u8 index into :data:`WIRE_DTYPES` (``<f4`` or ``<f8``)
+ndim, dims          u8, then one u32 per dimension
+body length         u32
+scalar slots        the codec's fixed-width slot struct (its ``schema``)
+array fields        per field a u32 element count plus the raw elements, in
+                    the dtype the codec's schema fixes for that field
+CRC32               u32 over every header byte before it plus the body
+body                exactly ``body length`` bytes, the rest of the frame
+==================  ==========================================================
 
-An ``A`` value's dtype must be one of :data:`WIRE_DTYPES` (little-endian
-bool, signed or unsigned integer, float); any other dtype string is
-rejected with :class:`CorruptPayloadError` before NumPy ever parses it.
+This module holds what the framer and the codecs share: the one
+documented decode error, :class:`CorruptPayloadError`, and the dtype-code
+table.  A dtype code is untrusted input, so it is looked up in
+:data:`WIRE_DTYPES`, never handed to NumPy to parse.
 
-Keys are packed as varint-length-prefixed UTF-8.  The format is sequential
-and order-preserving; no alignment padding.
-
-**Checksummed frames (opt-in).**  Codec payloads are self-describing but
-carry no integrity check — a flipped bit on a faulty fabric decodes into
-silently-wrong embedding rows.  :func:`frame_with_checksum` wraps any
-payload in a 5-byte CRC32 envelope; :func:`verify_checksum_frame` strips
-it, raising :class:`CorruptPayloadError` on mismatch, which is what the
-fault injector's corruption faults (and the publisher's retry loop) key
-off.  The envelope is opt-in so every existing byte-exact payload stays
-pinned bit for bit.
+**Checksummed envelopes (opt-in).**  Every frame carries its own CRC32.
+The older 5-byte envelope stays for the delta publisher's ``checksum=``
+knob: :func:`frame_with_checksum` wraps any payload in magic + CRC32 +
+body, and :func:`verify_checksum_frame` strips it, raising
+:class:`CorruptPayloadError` on mismatch, which is what the fault
+injector's corruption faults (and the publisher's retry loop) key off.
 """
 
 from __future__ import annotations
@@ -42,12 +43,9 @@ from typing import Any
 import numpy as np
 
 __all__ = [
-    "pack_meta",
-    "unpack_meta",
-    "write_varint",
-    "read_varint",
     "CorruptPayloadError",
     "WIRE_DTYPES",
+    "dtype_code",
     "wire_dtype",
     "CHECKSUM_MAGIC",
     "frame_with_checksum",
@@ -62,35 +60,44 @@ CHECKSUM_MAGIC = 0xC5
 
 
 class CorruptPayloadError(ValueError):
-    """A payload failed verification: a CRC32 mismatch, a header that
-    declares a dtype no codec emits or names no registered codec, or a
-    header whose shape disagrees with the body.
+    """A payload failed verification: a CRC32 mismatch, a frame that is
+    truncated or declares lengths overrunning it, a dtype code no codec
+    emits, a codec id no codec owns, or a header that disagrees with the
+    body.
 
-    The CRC32 check applies only to frames that *declare* a checksum — an
-    unframed payload is never rejected for lacking one (integrity is
-    opt-in), and a truncated or bit-flipped envelope reports the stored vs
+    Every codec frame carries a CRC32; the 5-byte envelope's CRC32 applies
+    only to payloads wrapped in it.  A mismatch reports the stored vs
     computed digest so fault logs say exactly what went wrong on the wire.
     """
 
 
-#: every dtype string the wire format may carry: little-endian numeric
-#: kinds only, keyed by ``dtype.str`` (so ``int8`` is ``"|i1"``)
-WIRE_DTYPES = {
-    dtype.str: dtype
-    for dtype in map(np.dtype, ("<b1", "<i1", "<i2", "<i4", "<i8", "<u1", "<u2", "<u4", "<u8", "<f2", "<f4", "<f8"))
-}
+#: every dtype a frame may declare, indexed by its one-byte wire code:
+#: little-endian numeric kinds only (so ``int8`` is ``"|i1"``)
+WIRE_DTYPES = tuple(
+    map(np.dtype, ("|b1", "|i1", "<i2", "<i4", "<i8", "|u1", "<u2", "<u4", "<u8", "<f2", "<f4", "<f8"))
+)
+
+_DTYPE_CODES = {dtype: code for code, dtype in enumerate(WIRE_DTYPES)}
 
 
-def wire_dtype(name: Any, allowed: Container[str] = WIRE_DTYPES) -> np.dtype:
-    """The dtype a payload declares as ``name``.
+def dtype_code(dtype: Any) -> int:
+    """The wire code of ``dtype``; ``TypeError`` if no frame can carry it."""
+    try:
+        return _DTYPE_CODES[np.dtype(dtype)]
+    except KeyError:
+        raise TypeError(f"dtype {np.dtype(dtype)} has no wire code") from None
 
-    The string is untrusted input, so it is looked up, never parsed:
-    :class:`CorruptPayloadError` unless it is in :data:`WIRE_DTYPES` and
-    in ``allowed``.
+
+def wire_dtype(code: Any, allowed: Container[np.dtype] = WIRE_DTYPES) -> np.dtype:
+    """The dtype a payload declares with ``code``.
+
+    The code is untrusted input, so it is looked up, never parsed:
+    :class:`CorruptPayloadError` unless it indexes :data:`WIRE_DTYPES` and
+    the dtype is in ``allowed``.
     """
-    if not isinstance(name, str) or name not in allowed or name not in WIRE_DTYPES:
-        raise CorruptPayloadError(f"payload declares dtype {name!r}, which no codec emits")
-    return WIRE_DTYPES[name]
+    if isinstance(code, int) and 0 <= code < len(WIRE_DTYPES) and WIRE_DTYPES[code] in allowed:
+        return WIRE_DTYPES[code]
+    raise CorruptPayloadError(f"payload declares dtype code {code!r}, which no codec emits here")
 
 
 def _reference_frame_with_checksum(payload: bytes | bytearray | memoryview) -> bytes:
@@ -182,133 +189,3 @@ def verify_checksum_frame(data: bytes | bytearray | memoryview) -> memoryview:
             f"0x{actual:08x} over {len(body)} bytes — payload corrupted in transit"
         )
     return body
-
-
-def write_varint(out: bytearray, value: int) -> None:
-    """Append an unsigned LEB128 varint to ``out``."""
-    if value < 0:
-        raise ValueError(f"varint must be non-negative, got {value}")
-    while True:
-        byte = value & 0x7F
-        value >>= 7
-        if value:
-            out.append(byte | 0x80)
-        else:
-            out.append(byte)
-            return
-
-
-def read_varint(data: bytes | memoryview, pos: int) -> tuple[int, int]:
-    """Read an unsigned LEB128 varint at ``pos``; return ``(value, new_pos)``."""
-    result = 0
-    shift = 0
-    while True:
-        if pos >= len(data):
-            raise ValueError("truncated varint")
-        byte = data[pos]
-        pos += 1
-        result |= (byte & 0x7F) << shift
-        if not byte & 0x80:
-            return result, pos
-        shift += 7
-        if shift > 70:
-            raise ValueError("varint too long")
-
-
-def _zigzag(value: int) -> int:
-    return (value << 1) ^ (value >> 63) if value >= -(2**63) else (value << 1) ^ -1
-
-
-def _unzigzag(value: int) -> int:
-    return (value >> 1) ^ -(value & 1)
-
-
-def _pack_value(out: bytearray, value: Any) -> None:
-    if isinstance(value, bool):
-        raise TypeError("bool meta values are ambiguous; use int 0/1")
-    if isinstance(value, (int, np.integer)):
-        out.append(ord("I"))
-        write_varint(out, _zigzag(int(value)))
-    elif isinstance(value, (float, np.floating)):
-        out.append(ord("F"))
-        out.extend(struct.pack("<d", float(value)))
-    elif isinstance(value, str):
-        encoded = value.encode("utf-8")
-        out.append(ord("S"))
-        write_varint(out, len(encoded))
-        out.extend(encoded)
-    elif isinstance(value, (bytes, bytearray, memoryview)):
-        view = memoryview(value)
-        out.append(ord("B"))
-        write_varint(out, view.nbytes)
-        out.extend(view)
-    elif isinstance(value, np.ndarray):
-        out.append(ord("A"))
-        dtype_str = value.dtype.str.encode("ascii")
-        write_varint(out, len(dtype_str))
-        out.extend(dtype_str)
-        write_varint(out, value.ndim)
-        for dim in value.shape:
-            write_varint(out, dim)
-        contiguous = np.ascontiguousarray(value)
-        raw = memoryview(contiguous).cast("B") if contiguous.nbytes else b""
-        write_varint(out, len(raw))
-        out.extend(raw)
-    else:
-        raise TypeError(f"unsupported meta value type: {type(value).__name__}")
-
-
-def _unpack_value(data: memoryview, pos: int) -> tuple[Any, int]:
-    tag = chr(data[pos])
-    pos += 1
-    if tag == "I":
-        raw, pos = read_varint(data, pos)
-        return _unzigzag(raw), pos
-    if tag == "F":
-        (value,) = struct.unpack_from("<d", data, pos)
-        return value, pos + 8
-    if tag == "S":
-        length, pos = read_varint(data, pos)
-        return bytes(data[pos : pos + length]).decode("utf-8"), pos + length
-    if tag == "B":
-        length, pos = read_varint(data, pos)
-        return bytes(data[pos : pos + length]), pos + length
-    if tag == "A":
-        dlen, pos = read_varint(data, pos)
-        # latin-1 maps every byte, so a non-ASCII string fails the lookup
-        dtype = wire_dtype(bytes(data[pos : pos + dlen]).decode("latin-1"))
-        pos += dlen
-        ndim, pos = read_varint(data, pos)
-        shape = []
-        for _ in range(ndim):
-            dim, pos = read_varint(data, pos)
-            shape.append(dim)
-        blen, pos = read_varint(data, pos)
-        array = np.frombuffer(data[pos : pos + blen], dtype=dtype).reshape(shape).copy()
-        return array, pos + blen
-    raise ValueError(f"unknown meta tag {tag!r}")
-
-
-def pack_meta(meta: dict[str, Any]) -> bytes:
-    """Serialize a header dictionary to compact bytes."""
-    out = bytearray()
-    write_varint(out, len(meta))
-    for key, value in meta.items():
-        encoded_key = key.encode("utf-8")
-        write_varint(out, len(encoded_key))
-        out.extend(encoded_key)
-        _pack_value(out, value)
-    return bytes(out)
-
-
-def unpack_meta(data: bytes | memoryview, pos: int = 0) -> tuple[dict[str, Any], int]:
-    """Deserialize a header at ``pos``; return ``(meta, new_pos)``."""
-    view = memoryview(data)
-    count, pos = read_varint(view, pos)
-    meta: dict[str, Any] = {}
-    for _ in range(count):
-        klen, pos = read_varint(view, pos)
-        key = bytes(view[pos : pos + klen]).decode("utf-8")
-        pos += klen
-        meta[key], pos = _unpack_value(view, pos)
-    return meta, pos

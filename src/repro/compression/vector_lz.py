@@ -26,9 +26,10 @@ from typing import Any
 
 import numpy as np
 
-from repro.compression.base import Compressor
+from repro.compression.base import Compressor, FrameSchema, require_frame
 from repro.compression.bitstream import pack_fixed, unpack_fixed
 from repro.compression.quantizer import quantize_batch
+from repro.compression.serialization import CorruptPayloadError
 
 __all__ = [
     "DEFAULT_WINDOW",
@@ -136,12 +137,38 @@ def vector_lz_encode(codes: np.ndarray, window: int = DEFAULT_WINDOW) -> VectorL
     )
 
 
+def _section_bytes(count: int, width: int) -> int:
+    return (count * width + 7) // 8
+
+
 def _decode_fields(encoded: VectorLZEncoded) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Unpack the token stream into ``(is_match, offsets, literal_rows)``."""
+    """Unpack the token stream into ``(is_match, offsets, literal_rows)``.
+
+    The stream is untrusted: its counts, widths and section sizes must
+    agree exactly, or :class:`CorruptPayloadError` is raised before any
+    section is unpacked.
+    """
     n, d = encoded.n_rows, encoded.dim
-    is_match = np.unpackbits(encoded.flags, count=n).astype(bool)
-    offsets = unpack_fixed(encoded.offsets, encoded.n_matches, encoded.offset_width)
     n_literals = n - encoded.n_matches
+    require_frame(
+        1 <= encoded.offset_width <= 57 and 1 <= encoded.literal_width <= 57,
+        "corrupt vector-LZ stream: field width outside [1, 57]",
+    )
+    for section, have, need in (
+        ("flags", encoded.flags.size, _section_bytes(n, 1)),
+        ("offsets", encoded.offsets.size, _section_bytes(encoded.n_matches, encoded.offset_width)),
+        ("literals", encoded.literals.size, _section_bytes(n_literals * d, encoded.literal_width)),
+    ):
+        require_frame(
+            n_literals >= 0 and have == need,
+            f"corrupt vector-LZ stream: body holds {have} {section} bytes, expected {need}",
+        )
+    is_match = np.unpackbits(encoded.flags, count=n).astype(bool)
+    require_frame(
+        int(np.count_nonzero(is_match)) == encoded.n_matches,
+        "corrupt vector-LZ stream: match flags disagree with the match count",
+    )
+    offsets = unpack_fixed(encoded.offsets, encoded.n_matches, encoded.offset_width)
     literal_values = unpack_fixed(encoded.literals, n_literals * d, encoded.literal_width)
     literal_rows = literal_values.reshape(n_literals, d).astype(np.int64)
     return is_match, offsets, literal_rows
@@ -165,7 +192,7 @@ def vector_lz_decode(encoded: VectorLZEncoded) -> np.ndarray:
     match_positions = np.flatnonzero(is_match)
     src[match_positions] = match_positions - offsets.astype(np.int64)
     if src.min() < 0:
-        raise ValueError("corrupt vector-LZ stream: back-reference before row 0")
+        raise CorruptPayloadError("corrupt vector-LZ stream: back-reference before row 0")
     # Pointer jumping: literals are fixed points, matches strictly decrease,
     # so repeated src[src] reaches the all-literal fixed point.
     for _ in range(_MAX_JUMP_PASSES):
@@ -174,7 +201,7 @@ def vector_lz_decode(encoded: VectorLZEncoded) -> np.ndarray:
             break
         src = hopped
     if is_match[src].any():
-        raise ValueError("corrupt vector-LZ stream: unresolvable match chain")
+        raise CorruptPayloadError("corrupt vector-LZ stream: unresolvable match chain")
     # Root rows are literals; literal_index maps a literal row position to
     # its rank in the packed literal block.
     literal_index = np.cumsum(~is_match) - 1
@@ -219,6 +246,19 @@ class VectorLZCompressor(Compressor):
     """
 
     name = "vector_lz"
+    codec_id = 1
+    schema = FrameSchema(
+        slots=(
+            ("eb", "d"),
+            ("code_min", "q"),
+            ("window", "I"),
+            ("n_matches", "I"),
+            ("offset_width", "B"),
+            ("literal_width", "B"),
+            ("flags_len", "I"),
+            ("offsets_len", "I"),
+        )
+    )
     lossy = True
     error_bounded = True
 

@@ -215,7 +215,8 @@ class TestParallelismCap:
     def test_decompress_batch_honours_cap(self, monkeypatch, tables, cap):
         payloads = [Fp16Compressor().compress(t) for t in tables * 3]
         probe = _ConcurrencyProbe()
-        monkeypatch.setattr(Fp16Compressor, "decompress", probe.wrap(Fp16Compressor.decompress))
+        # decompress_any parses each frame once and hands it to ``decode``
+        monkeypatch.setattr(Fp16Compressor, "decode", probe.wrap(Fp16Compressor.decode))
         with CodecExecutor(4) as executor:
             executor.decompress_batch(payloads, parallelism=cap)
         assert 1 <= probe.peak <= min(cap, 4)

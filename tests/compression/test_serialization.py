@@ -1,4 +1,4 @@
-"""Tests for the compact header serializer."""
+"""Tests for the wire primitives: dtype codes and the CRC32 envelope."""
 
 from __future__ import annotations
 
@@ -7,130 +7,27 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.compression.serialization import (
-    pack_meta,
-    read_varint,
-    unpack_meta,
-    write_varint,
-)
+from repro.compression.serialization import WIRE_DTYPES, CorruptPayloadError, dtype_code, wire_dtype
 
 
-class TestVarint:
-    @pytest.mark.parametrize("value", [0, 1, 127, 128, 255, 300, 2**20, 2**63])
-    def test_roundtrip(self, value):
-        out = bytearray()
-        write_varint(out, value)
-        decoded, pos = read_varint(bytes(out), 0)
-        assert decoded == value
-        assert pos == len(out)
+class TestDtypeCodes:
+    def test_every_wire_dtype_roundtrips_through_its_code(self):
+        for code, dtype in enumerate(WIRE_DTYPES):
+            assert dtype_code(dtype) == code
+            assert wire_dtype(code) == dtype
 
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            write_varint(bytearray(), -1)
+    def test_dtype_without_code_refused_by_the_packer(self):
+        with pytest.raises(TypeError, match="no wire code"):
+            dtype_code(np.dtype(">f4"))
 
-    def test_truncated_stream(self):
-        out = bytearray()
-        write_varint(out, 2**20)
-        with pytest.raises(ValueError, match="truncated"):
-            read_varint(bytes(out[:-1]), 0)
+    @given(st.integers(min_value=len(WIRE_DTYPES), max_value=255))
+    def test_codes_past_the_table_rejected(self, code):
+        with pytest.raises(CorruptPayloadError, match="dtype code"):
+            wire_dtype(code)
 
-    @given(st.integers(min_value=0, max_value=2**64 - 1))
-    def test_roundtrip_property(self, value):
-        out = bytearray()
-        write_varint(out, value)
-        decoded, _ = read_varint(bytes(out), 0)
-        assert decoded == value
-
-    def test_small_values_take_one_byte(self):
-        out = bytearray()
-        write_varint(out, 100)
-        assert len(out) == 1
-
-
-class TestPackMeta:
-    def test_roundtrip_all_types(self):
-        meta = {
-            "int": 42,
-            "neg": -17,
-            "float": 3.25,
-            "str": "vector_lz",
-            "bytes": b"\x00\xff\x01",
-            "arr": np.arange(12, dtype=np.int64).reshape(3, 4),
-        }
-        packed = pack_meta(meta)
-        decoded, pos = unpack_meta(packed)
-        assert pos == len(packed)
-        assert decoded["int"] == 42
-        assert decoded["neg"] == -17
-        assert decoded["float"] == 3.25
-        assert decoded["str"] == "vector_lz"
-        assert decoded["bytes"] == b"\x00\xff\x01"
-        np.testing.assert_array_equal(decoded["arr"], meta["arr"])
-        assert decoded["arr"].dtype == np.int64
-
-    def test_empty_meta(self):
-        decoded, pos = unpack_meta(pack_meta({}))
-        assert decoded == {}
-        assert pos == 1  # single varint 0
-
-    def test_preserves_key_order(self):
-        meta = {"z": 1, "a": 2, "m": 3}
-        decoded, _ = unpack_meta(pack_meta(meta))
-        assert list(decoded) == ["z", "a", "m"]
-
-    def test_array_dtype_preserved(self):
-        for dtype in (np.uint8, np.int32, np.float32, np.float64, np.uint64):
-            meta = {"a": np.array([1, 2, 3], dtype=dtype)}
-            decoded, _ = unpack_meta(pack_meta(meta))
-            assert decoded["a"].dtype == dtype
-
-    def test_empty_array(self):
-        decoded, _ = unpack_meta(pack_meta({"a": np.zeros((0, 3), dtype=np.float32)}))
-        assert decoded["a"].shape == (0, 3)
-
-    def test_bool_rejected(self):
-        with pytest.raises(TypeError, match="bool"):
-            pack_meta({"flag": True})
-
-    def test_unsupported_type_rejected(self):
-        with pytest.raises(TypeError):
-            pack_meta({"x": object()})
-
-    def test_unknown_tag_rejected(self):
-        packed = bytearray(pack_meta({"k": 1}))
-        # Corrupt the value tag ('I') into an unknown letter.
-        packed[packed.index(ord("I"))] = ord("Q")
-        with pytest.raises(ValueError, match="unknown meta tag"):
-            unpack_meta(bytes(packed))
-
-    @given(
-        st.dictionaries(
-            st.text(min_size=1, max_size=8),
-            st.one_of(
-                st.integers(min_value=-(2**62), max_value=2**62),
-                st.floats(allow_nan=False, allow_infinity=False),
-                st.text(max_size=16),
-                st.binary(max_size=16),
-            ),
-            max_size=6,
-        )
-    )
-    def test_roundtrip_property(self, meta):
-        decoded, pos = unpack_meta(pack_meta(meta))
-        packed = pack_meta(meta)
-        assert pos == len(packed)
-        assert decoded == meta
-
-    def test_sequential_headers(self):
-        """Two headers packed back-to-back parse at returned offsets."""
-        first = pack_meta({"a": 1})
-        second = pack_meta({"b": "x"})
-        blob = first + second
-        meta1, pos = unpack_meta(blob)
-        meta2, end = unpack_meta(blob, pos)
-        assert meta1 == {"a": 1}
-        assert meta2 == {"b": "x"}
-        assert end == len(blob)
+    def test_code_outside_allowed_set_rejected(self):
+        with pytest.raises(CorruptPayloadError, match="dtype code"):
+            wire_dtype(dtype_code(np.int8), (np.dtype("<f4"),))
 
 
 class TestChecksumFrame:
