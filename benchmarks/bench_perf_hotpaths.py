@@ -69,14 +69,10 @@ def test_every_kernel_covered_on_every_shape(records):
         ("lz4_like", "decode"),
         ("fzgpu_like", "pack"),
         ("fzgpu_like", "unpack"),
-        ("checksum", "frame"),
-        ("checksum", "verify"),
         ("serve_degraded", "pull"),
         ("parallel_hybrid", "workers1"),
         ("parallel_hybrid", "workers2"),
         ("parallel_hybrid", "workers4"),
-        ("zero_copy", "frame"),
-        ("zero_copy", "verify"),
         ("zero_copy", "compress_into"),
         ("homomorphic_allreduce", "agg_quant"),
         ("homomorphic_allreduce", "agg_count"),
@@ -220,21 +216,11 @@ def test_parallel_hybrid_efficiency(records):
 
 
 def test_zero_copy_allocations_reduced(records):
-    """Raw-speed PR satellite claim: the pooled/view framing paths allocate
-    a fraction of what the copying seed implementations do.  Peak
-    tracemalloc bytes per call: the envelope paths drop by >= 4x; the
-    end-to-end ``compress_into`` path (whose peak is codec-internal
-    scratch, not framing) must at least not regress."""
+    """Raw-speed tier claim: the pooled ``compress_into`` path
+    (whose peak tracemalloc bytes per call are codec-internal scratch, not
+    framing) allocates no more than the copying ``compress``."""
     by_key = _by_key(records)
     for shape in LARGE_SHAPES:
-        for op in ("frame", "verify"):
-            record = by_key[("zero_copy", op, shape)]
-            assert record.alloc_nbytes is not None
-            assert record.reference_alloc_nbytes is not None
-            assert record.alloc_nbytes * 4 <= record.reference_alloc_nbytes, (
-                f"zero_copy.{op} [{shape}] allocates {record.alloc_nbytes}B "
-                f"vs reference {record.reference_alloc_nbytes}B"
-            )
         record = by_key[("zero_copy", "compress_into", shape)]
         assert record.alloc_nbytes is not None
         assert record.reference_alloc_nbytes is not None

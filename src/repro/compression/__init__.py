@@ -43,12 +43,7 @@ from repro.compression.registry import (
     get_compressor,
     register_compressor,
 )
-from repro.compression.serialization import (
-    CorruptPayloadError,
-    frame_with_checksum,
-    has_checksum,
-    verify_checksum_frame,
-)
+from repro.compression.serialization import CorruptPayloadError
 from repro.compression.vector_lz import VectorLZCompressor
 
 __all__ = [
@@ -91,7 +86,4 @@ __all__ = [
     "TableCodebookCache",
     "EncoderPinCache",
     "CorruptPayloadError",
-    "frame_with_checksum",
-    "has_checksum",
-    "verify_checksum_frame",
 ]

@@ -4,8 +4,7 @@ exchange autotuning.
 Three cooperating pieces:
 
 * :class:`BitstreamPool` — recycling ``memoryview``-backed arenas; the
-  allocation-free backing store for payloads, checksum envelopes, and
-  decode scratch.
+  allocation-free backing store for payloads and decode scratch.
 * :class:`CodecExecutor` — compresses/decompresses independent tables and
   pipeline chunks on a thread pool, at most ``parallelism`` at a time;
   ``workers=1`` is a deterministic serial loop, and payload bytes are

@@ -1,8 +1,8 @@
 """Zero-copy bitstream arenas: reusable buffers for codec payloads.
 
 Every compress/decompress round trip in the seed allocated fresh ``bytes``
-at each stage boundary — body serialization, payload framing, checksum
-enveloping, wire staging.  :class:`BitstreamPool` removes the steady-state
+at each stage boundary — body serialization, payload framing, wire
+staging.  :class:`BitstreamPool` removes the steady-state
 allocations: it hands out :class:`Lease` objects backed by pooled
 ``bytearray`` arenas, bucketed by power-of-two capacity, so after warm-up a
 training iteration or publication round touches no allocator at all for its

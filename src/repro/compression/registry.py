@@ -24,7 +24,7 @@ from repro.compression.baselines import (
 from repro.compression.entropy import EntropyCompressor
 from repro.compression.homomorphic import CountSumCompressor, QuantSumCompressor
 from repro.compression.hybrid import HybridCompressor
-from repro.compression.serialization import CorruptPayloadError, has_checksum, verify_checksum_frame
+from repro.compression.serialization import CorruptPayloadError
 from repro.compression.vector_lz import VectorLZCompressor
 
 __all__ = ["register_compressor", "get_compressor", "available_compressors", "decompress_any"]
@@ -86,14 +86,11 @@ def _decoder(name: str) -> Compressor:
 def decompress_any(payload: bytes | memoryview) -> np.ndarray:
     """Decode a payload produced by any registered codec.
 
-    The frame is parsed once and handed to its codec's decoder.  Accepts
-    both bare codec frames and CRC32-checksummed envelopes (see
-    :func:`repro.compression.serialization.frame_with_checksum`); every
-    corruption raises
+    The frame is parsed once, its CRC32 checked, and handed to its codec's
+    decoder.  Every corruption, including a payload that is not a codec
+    frame at all, raises
     :class:`~repro.compression.serialization.CorruptPayloadError` instead
     of decoding garbage.
     """
-    if has_checksum(payload):
-        payload = verify_checksum_frame(payload)
     header, body = parse_payload(payload)
     return _decoder(header["codec"]).decode(header, body)

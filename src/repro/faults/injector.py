@@ -14,7 +14,7 @@ Integration points:
 * The serving tier asks :meth:`shard_down` / :meth:`link_state` per pull,
   so a crashed shard or severed link turns into timeouts there.
 * The publisher asks :meth:`corrupt_payload` per (round, table, attempt)
-  to damage bytes in transit — detectably, past the CRC32 envelope prefix.
+  to damage bytes in transit — anywhere in the frame its CRC32 covers.
 * :meth:`annotate` stamps every fault window onto a timeline's OBS lane
   (:data:`~repro.dist.timeline.EventCategory.FAULT` spans), so injected
   chaos is visible in the same chrome trace as the work it disturbed.
@@ -119,21 +119,22 @@ class FaultInjector:
     def corrupt_payload(self, payload: bytes, *key: object) -> bytes:
         """Deterministically damage a payload in transit.
 
-        Flips a handful of bytes *past* the 5-byte checksum envelope
-        prefix (magic + CRC32), so the damage lands in the protected body
-        and is guaranteed detectable — never silently decodable.  The flip
-        positions and masks derive from ``(seed, key)``.
+        Flips a handful of bytes anywhere in the payload.  A codec frame's
+        CRC32 covers every header byte and the body, and a flip inside the
+        stored CRC is a mismatch too, so the receiver's
+        :func:`~repro.compression.base.parse_payload` detects the damage
+        instead of decoding it.  The flip positions and masks derive from
+        ``(seed, key)``.
         """
         body = bytearray(payload)
-        lo = min(5, max(0, len(body) - 1))
-        if len(body) <= lo:
-            raise ValueError(f"payload too short to corrupt: {len(body)} bytes")
+        if not body:
+            raise ValueError("payload too short to corrupt: 0 bytes")
         rng = spawn_rng(self.seed, "corrupt", *key)
-        n_flips = min(len(body) - lo, 1 + int(rng.integers(4)))
-        positions = rng.choice(len(body) - lo, size=n_flips, replace=False)
+        n_flips = min(len(body), 1 + int(rng.integers(4)))
+        positions = rng.choice(len(body), size=n_flips, replace=False)
         for pos in positions:
             # XOR with a nonzero mask so every flip really changes the byte
-            body[lo + int(pos)] ^= 1 + int(rng.integers(255))
+            body[int(pos)] ^= 1 + int(rng.integers(255))
         self._count("corruption")
         return bytes(body)
 

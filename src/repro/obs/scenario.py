@@ -25,7 +25,7 @@ Two entry points run it:
   ``examples/faults_day_in_the_life.py`` and the CI ``chaos-smoke`` job.
 
 The two runs share one world, one tier and serve configuration
-(checksummed publication, a stale store, retries, hedging and circuit
+(CRC-verified publication, a stale store, retries, hedging and circuit
 breakers) and one artifact set.  With ``out_dir`` set either writes
 ``metrics.json`` (validated against the snapshot schema, including the
 ``reports`` block), ``metrics.prom``, ``obs_trace.json``,
@@ -262,7 +262,6 @@ def _run_day(
             n_replicas=2,
             cache_rows=64,
             retry_policy=retry_policy,
-            checksum=True,
             fault_injector=injector,
             keep_stale=True,
         )

@@ -59,12 +59,6 @@ from repro.compression.parallel import BitstreamPool, CodecExecutor, CompressJob
 from repro.compression.quantizer import quantize_batch
 from repro.compression.homomorphic import agg_sum
 from repro.compression.registry import decompress_any, get_compressor
-from repro.compression.serialization import (
-    _reference_frame_with_checksum,
-    _reference_verify_checksum_frame,
-    frame_with_checksum,
-    verify_checksum_frame,
-)
 from repro.obs import runtime as obs_runtime
 from repro.obs.registry import MetricsRegistry
 from repro.compression.vector_lz import (
@@ -360,28 +354,13 @@ def run_suite(
             lambda: hybrid.decompress(hybrid_payload),
         )
 
-        # --- CRC32 checksum envelope (the fault-tolerance framing): what
-        # integrity costs on top of the codec.  The serve_degraded/pull
-        # row is one faultable shard pull — verify the envelope, then the
-        # registry-level decode that strips it — against the bare decode,
-        # so the speedup column reads as the degraded-fabric overhead. ---
-        framed_payload = frame_with_checksum(hybrid_payload)
-        add(
-            "checksum", "frame", shape_name, rows, dim, nbytes,
-            lambda: frame_with_checksum(hybrid_payload),
-        )
-        add(
-            "checksum", "verify", shape_name, rows, dim, nbytes,
-            lambda: verify_checksum_frame(framed_payload),
-        )
-
-        def _degraded_pull():
-            verify_checksum_frame(framed_payload)
-            return decompress_any(framed_payload)
-
+        # --- one faultable shard pull: the registry-level decode (frame
+        # CRC check, codec dispatch) against the hybrid codec's own
+        # decode, so the speedup column reads as the dispatch overhead a
+        # serving pull pays. ---
         add(
             "serve_degraded", "pull", shape_name, rows, dim, nbytes,
-            _degraded_pull,
+            lambda: decompress_any(hybrid_payload),
             lambda: hybrid.decompress(hybrid_payload),
             interleave=True,
         )
@@ -449,24 +428,11 @@ def run_suite(
                         interleave=True,
                     )
 
-        # --- zero-copy bitstream discipline: the pooled/view paths against
-        # the frozen copying seed implementations.  These rows carry
+        # --- zero-copy bitstream discipline: the pooled ``compress_into``
+        # path against the copying ``compress``.  The row carries
         # ``alloc_nbytes`` (peak tracemalloc bytes per call) next to the
         # wall time — the claim is fewer allocations, not just speed. ---
         zero_pool = BitstreamPool()
-        frame_with_checksum(hybrid_payload, pool=zero_pool).release()  # warm arena
-        add(
-            "zero_copy", "frame", shape_name, rows, dim, nbytes,
-            lambda: frame_with_checksum(hybrid_payload, pool=zero_pool).release(),
-            lambda: _reference_frame_with_checksum(hybrid_payload),
-            measure_alloc=True,
-        )
-        add(
-            "zero_copy", "verify", shape_name, rows, dim, nbytes,
-            lambda: verify_checksum_frame(framed_payload),
-            lambda: _reference_verify_checksum_frame(framed_payload),
-            measure_alloc=True,
-        )
         hybrid.compress_into(batch, error_bound, pool=zero_pool).release()  # warm arena
         add(
             "zero_copy", "compress_into", shape_name, rows, dim, nbytes,

@@ -35,13 +35,10 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from repro.adaptive.selection import PAPER_A100_PROFILE, DeviceThroughputProfile
+from repro.compression.base import parse_payload
 from repro.compression.parallel.pool import BitstreamPool
 from repro.compression.registry import decompress_any
-from repro.compression.serialization import (
-    CorruptPayloadError,
-    frame_with_checksum,
-    verify_checksum_frame,
-)
+from repro.compression.serialization import CorruptPayloadError
 from repro.dist.comm import payload_nbytes
 from repro.dist.network import NetworkModel
 from repro.dist.simulator import ClusterSimulator
@@ -148,6 +145,10 @@ class DeltaPublisher:
         ``True`` ships error-bounded deltas under the adaptive
         controller's per-table codec/bound (requires the trainer's
         pipeline); ``False`` ships raw float32 deltas (exact, heavy).
+        Every delivered compressed payload is verified against its
+        frame's own CRC32 (:func:`~repro.compression.base.parse_payload`),
+        so in-transit corruption is *detected* instead of decoded into
+        garbage.
     retry_policy:
         Optional :class:`~repro.faults.retry.RetryPolicy`.  When set, a
         publication round whose payloads fail verification is retried —
@@ -157,17 +158,12 @@ class DeltaPublisher:
         per-round staleness bound holds across any number of failed
         rounds (the next delta is still computed against what the shards
         actually hold).
-    checksum:
-        Wrap every payload in the CRC32 envelope
-        (:func:`~repro.compression.serialization.frame_with_checksum`) so
-        in-transit corruption is *detected* (→ retry) instead of decoded
-        into garbage.  Required when the fault injector schedules
-        corruption faults.
     fault_injector:
         Optional :class:`~repro.faults.injector.FaultInjector`; attached
         to the publication fabric (outages/degraded links stretch the
         exchange) and consulted per (round, table, attempt) for payload
-        corruption.
+        corruption.  Corruption faults need compressed publication: raw
+        deltas are unframed float32 bytes with no CRC to detect them.
     """
 
     def __init__(
@@ -181,7 +177,6 @@ class DeltaPublisher:
         compress: bool = True,
         profile: DeviceThroughputProfile = PAPER_A100_PROFILE,
         retry_policy=None,
-        checksum: bool = False,
         fault_injector=None,
     ):
         if sharding is None:
@@ -204,15 +199,11 @@ class DeltaPublisher:
             raise ValueError(
                 f"serving sharding covers {sharding.n_tables} tables, model has {n_tables}"
             )
-        if (
-            fault_injector is not None
-            and fault_injector.plan.corruptions
-            and not checksum
-        ):
+        if fault_injector is not None and fault_injector.plan.corruptions and not compress:
             raise ValueError(
-                "the fault plan schedules payload corruption but checksum=False; "
-                "without the CRC32 envelope corruption would be applied silently "
-                "— pass checksum=True"
+                "the fault plan schedules payload corruption but compress=False; "
+                "raw deltas carry no frame CRC32, so corruption would be applied "
+                "silently — use compressed publication"
             )
         self.trainer = trainer
         self.servers = tuple(servers)
@@ -221,17 +212,16 @@ class DeltaPublisher:
         self.compress = bool(compress)
         self.profile = profile
         self.retry_policy = retry_policy
-        self.checksum = bool(checksum)
         self.fault_injector = fault_injector
         self.simulator = ClusterSimulator(1 + len(servers), network=network)
         self.simulator.fault_injector = fault_injector
         # Cached codec instances: table-keyed delta compression every
         # round amortizes encoder pins / codebooks exactly like the shards.
         self._codec = serving_codec_pool()
-        # Pooled buffers for the per-round hot loop: delta payloads and
-        # checksum envelopes land in recycled arenas (released at the end
-        # of each round), and the delta itself is computed into a per-table
-        # scratch array — steady-state publication allocates nothing new.
+        # Pooled buffers for the per-round hot loop: delta payloads land
+        # in recycled arenas (released at the end of each round), and the
+        # delta itself is computed into a per-table scratch array —
+        # steady-state publication allocates nothing new.
         self._pool = BitstreamPool()
         self._delta_scratch: dict[int, np.ndarray] = {}
         # The serving tier's logical state: exactly what the shard servers
@@ -283,7 +273,7 @@ class DeltaPublisher:
         new_state: dict[int, np.ndarray] = {}
         pristine: list = []  # payload (bytes or lease view) per record
         placements: list[int] = []  # shard rank per table record
-        round_leases: list = []  # pooled payload/envelope leases, released at end
+        round_leases: list = []  # pooled payload leases, released at end
         for shard_rank in range(n_servers):
             for table_id in self.sharding.tables_of(shard_rank):
                 weight = self.trainer.model.tables[table_id].weight.data
@@ -316,10 +306,6 @@ class DeltaPublisher:
                     bound = 0.0
                     payload = delta.tobytes()
                     applied = current
-                if self.checksum:
-                    envelope = frame_with_checksum(payload, pool=self._pool)
-                    round_leases.append(envelope)
-                    payload = envelope.view
                 pristine.append(payload)
                 placements.append(shard_rank)
                 entries[0, 1 + shard_rank] += 1
@@ -398,10 +384,10 @@ class DeltaPublisher:
             # metadata/payload/shard-decode window of this attempt.
             wire_seconds = sim.makespan() - attempt_start - stage1
             bad = 0
-            if self.checksum:
+            if self.compress:
                 for payload in delivered:
                     try:
-                        verify_checksum_frame(payload)
+                        parse_payload(payload)
                     except CorruptPayloadError:
                         bad += 1
             corrupted_total += bad
@@ -534,7 +520,6 @@ def build_serving_tier(
     publication_network: NetworkModel | None = None,
     compress_publication: bool = True,
     retry_policy=None,
-    checksum: bool = False,
     fault_injector=None,
     keep_stale: bool = False,
 ) -> ServingTier:
@@ -583,7 +568,6 @@ def build_serving_tier(
         network=publication_network,
         compress=compress_publication,
         retry_policy=retry_policy,
-        checksum=checksum,
         fault_injector=fault_injector,
     )
     return ServingTier(servers=servers, replicas=replicas, publisher=publisher, sharding=sharding)

@@ -1,5 +1,9 @@
 """The fixed-slot payload frame: layout, size, parse-once decode, fuzzing.
 
+Every single-byte flip of every codec's frame makes ``parse_payload``
+raise :class:`CorruptPayloadError`: the frame CRC32 is the only integrity
+check on the wire, so detection may not wait for a decode to notice.
+
 The fuzz properties run over every registered codec.  A mangled frame —
 truncated, byte-flipped, replaced by random bytes or stamped with another
 version — must decode to the right array or raise
@@ -12,8 +16,10 @@ shape and dtype or raise the documented error.
 
 from __future__ import annotations
 
+import re
 import struct
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,6 +37,8 @@ from repro.compression import base, registry
 from repro.compression.base import MAGIC, VERSION, parse_payload
 from repro.compression.serialization import CorruptPayloadError, dtype_code
 from tests.conftest import make_hot_batch
+
+SRC = Path(__file__).resolve().parents[2] / "src"
 
 FUZZ = settings(
     max_examples=40,
@@ -115,6 +123,47 @@ class TestFuzz:
             assert result.dtype == header["dtype"]
 
 
+class TestSingleByteFlips:
+    @pytest.mark.parametrize("name", available_compressors())
+    def test_every_single_byte_flip_is_corrupt(self, frames, name):
+        payload, _ = frames[name]
+        undetected = []
+        for pos in range(len(payload)):
+            for mask in (0x01, 0x80, 0xFF):
+                frame = bytearray(payload)
+                frame[pos] ^= mask
+                try:
+                    parse_payload(bytes(frame))
+                except CorruptPayloadError:
+                    continue
+                undetected.append((pos, mask))
+        assert undetected == [], f"{name}: flips parsed as valid frames"
+
+
+class TestOneIntegrityCheck:
+    """The frame CRC32, computed and checked in ``compression/base.py``, is
+    the only integrity mechanism: no second checksum framing and no
+    option to switch one on."""
+
+    def test_only_the_frame_module_computes_crc32(self):
+        crc_users = re.compile(r"^\s*(import|from) zlib\b|crc32\(", re.MULTILINE)
+        users = sorted(
+            path.relative_to(SRC).as_posix()
+            for path in SRC.rglob("*.py")
+            if crc_users.search(path.read_text())
+        )
+        assert users == ["repro/compression/base.py"]
+
+    def test_no_checksum_keyword_remains(self):
+        keyword = re.compile(r"\bchecksum\s*=")
+        offenders = sorted(
+            path.relative_to(SRC).as_posix()
+            for path in SRC.rglob("*.py")
+            if keyword.search(path.read_text())
+        )
+        assert offenders == []
+
+
 class TestLayout:
     def test_header_fields_sit_at_fixed_offsets(self):
         batch = np.arange(12, dtype=np.float32).reshape(3, 4)
@@ -144,6 +193,12 @@ class TestLayout:
         for data in (b"", b"\xdc", bytes(64)):
             with pytest.raises(CorruptPayloadError):
                 parse_payload(data)
+
+    def test_crc_prefixed_frame_is_bad_magic(self, frames):
+        payload, _ = frames["vector_lz"]
+        prefixed = b"\xc5" + struct.pack("<I", zlib.crc32(payload)) + payload
+        with pytest.raises(CorruptPayloadError, match="bad magic"):
+            decompress_any(prefixed)
 
     def test_trailing_bytes_are_corrupt(self, frames):
         payload, _ = frames["vector_lz"]

@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
-from repro.compression import CorruptPayloadError, frame_with_checksum, verify_checksum_frame
+from repro.compression import CorruptPayloadError, VectorLZCompressor, decompress_any
 from repro.dist import ClusterSimulator
 from repro.dist.timeline import COMM_STREAM, COMPUTE_STREAM, OBS_STREAM, EventCategory, Timeline
 from repro.faults import (
@@ -182,20 +183,20 @@ class TestInjectorAdjustments:
 class TestCorruption:
     def test_corrupt_payload_is_deterministic_and_detected(self):
         injector = FaultInjector(FaultPlan(), seed=4)
-        framed = frame_with_checksum(b"embedding delta payload bytes")
-        damaged = injector.corrupt_payload(framed, "pub", 0, 1)
-        assert damaged != framed
-        assert damaged == FaultInjector(FaultPlan(), seed=4).corrupt_payload(framed, "pub", 0, 1)
-        assert damaged[:5] == framed[:5]  # envelope prefix untouched
+        delta = np.linspace(-0.5, 0.5, 256, dtype=np.float32).reshape(32, 8)
+        frame = VectorLZCompressor().compress(delta, 1e-2)
+        damaged = injector.corrupt_payload(frame, "pub", 0, 1)
+        assert damaged != frame and len(damaged) == len(frame)
+        assert damaged == FaultInjector(FaultPlan(), seed=4).corrupt_payload(frame, "pub", 0, 1)
         with pytest.raises(CorruptPayloadError):
-            verify_checksum_frame(damaged)
-        assert verify_checksum_frame(framed) == b"embedding delta payload bytes"
+            decompress_any(damaged)
+        assert decompress_any(frame).shape == delta.shape
 
     def test_empty_payload_rejected_short_payload_still_damaged(self):
         injector = FaultInjector(FaultPlan())
         with pytest.raises(ValueError):
             injector.corrupt_payload(b"")
-        # shorter than the envelope prefix: flips land past a clamped offset
+        # even a payload shorter than any frame header is damaged
         assert injector.corrupt_payload(b"abc") != b"abc"
 
 

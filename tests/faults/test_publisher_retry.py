@@ -44,7 +44,6 @@ def faulty_tier(trainer, corruptions, max_attempts=3, keep_stale=False):
         n_replicas=1,
         cache_rows=64,
         retry_policy=RetryPolicy(max_attempts=max_attempts, seed=5),
-        checksum=True,
         fault_injector=injector,
         keep_stale=keep_stale,
     )
@@ -128,34 +127,19 @@ class TestFailedRounds:
 
 
 class TestConfiguration:
-    def test_corruption_plan_requires_checksum(self, trainer):
+    def test_raw_publication_rejects_corruption_plan(self, trainer):
+        """Raw deltas are unframed float32 bytes with no CRC32, so a
+        corruption fault on them could never be detected."""
         injector = FaultInjector(
             FaultPlan(corruptions=(CorruptionFault(round_index=0),))
         )
-        with pytest.raises(ValueError, match="checksum"):
+        with pytest.raises(ValueError, match="compress=False"):
             build_serving_tier(
                 trainer,
                 n_shard_ranks=2,
                 n_replicas=1,
                 cache_rows=64,
+                compress_publication=False,
                 retry_policy=RetryPolicy(seed=0),
-                checksum=False,
                 fault_injector=injector,
-            )
-
-    def test_checksummed_publication_matches_plain_numerics(self, trainer):
-        """The CRC32 envelope is framing only — published state is
-        identical with and without it."""
-        plain_tier = build_serving_tier(trainer, n_shard_ranks=2, n_replicas=1, cache_rows=64)
-        framed_tier = build_serving_tier(
-            trainer, n_shard_ranks=2, n_replicas=1, cache_rows=64, checksum=True
-        )
-        for round_index in range(2):
-            trainer.train_step(64, iteration=round_index)
-            plain_tier.publisher.publish(iteration=round_index)
-            framed_tier.publisher.publish(iteration=round_index)
-        for t in range(N_TABLES):
-            assert np.array_equal(
-                plain_tier.publisher.published_table(t),
-                framed_tier.publisher.published_table(t),
             )
